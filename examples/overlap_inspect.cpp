@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
   auto forest = gst::build_forest_sequential(ests, w);
   pairgen::PairGenerator gen(ests, forest, psi);
 
-  align::OverlapParams params;  // defaults: band 8, quality 0.8
+  pace::PaceConfig cfg;  // exact alignments: rejected rows show full spans
+  cfg.memo = cfg.bounded_align = false;
+  pace::PairAligner aligner(ests, cfg);
   std::cout << "Strongest promising pairs (decreasing maximal common "
             << "substring length):\n\n";
   TablePrinter table({"est A", "est B", "orient", "match", "overlap kind",
@@ -41,7 +43,7 @@ int main(int argc, char** argv) {
   while (shown < top && gen.next_batch(32, batch) > 0) {
     for (const auto& p : batch) {
       if (shown >= top) break;
-      pace::PairEvaluation ev = pace::evaluate_pair(ests, p, params);
+      pace::PairEvaluation ev = aligner.evaluate(p);
       table.add_row(
           {ests.est(p.a).id, ests.est(p.b).id, p.b_rc ? "rc" : "fwd",
            TablePrinter::fmt(static_cast<std::uint64_t>(p.match_len)),
@@ -59,7 +61,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\n'merge' rows show one of the four accepted overlap "
-            << "shapes of Fig 5b\nwith score >= " << params.min_quality
+            << "shapes of Fig 5b\nwith score >= " << cfg.overlap.min_quality
             << " x ideal; 'reject' rows share a long exact match\nbut do "
             << "not extend to a clean overlap (e.g. chance repeats).\n";
   return 0;

@@ -2,30 +2,6 @@
 
 namespace estclust::pace {
 
-namespace {
-
-align::Anchor anchor_of(const pairgen::PromisingPair& pair) {
-  align::Anchor anchor;
-  anchor.a_pos = pair.a_pos;
-  anchor.b_pos = pair.b_pos;
-  anchor.len = pair.match_len;
-  return anchor;
-}
-
-}  // namespace
-
-PairEvaluation evaluate_pair(const bio::EstSet& ests,
-                             const pairgen::PromisingPair& pair,
-                             const align::OverlapParams& params) {
-  auto a = ests.str(bio::EstSet::forward_sid(pair.a));
-  auto b = ests.str(pair.b_rc ? bio::EstSet::rc_sid(pair.b)
-                              : bio::EstSet::forward_sid(pair.b));
-  PairEvaluation out;
-  out.overlap = align::align_anchored(a, b, anchor_of(pair), params);
-  out.accepted = align::accept_overlap(out.overlap, params);
-  return out;
-}
-
 PairEvaluation PairAligner::evaluate(const pairgen::PromisingPair& pair) {
   // Anchors within one band width of each other share a DP corridor; the
   // window id is the memo's "same alignment problem" coordinate.
@@ -49,7 +25,7 @@ PairEvaluation PairAligner::evaluate(const pairgen::PromisingPair& pair) {
   auto a = ests_.str(bio::EstSet::forward_sid(pair.a));
   auto b = ests_.str(pair.b_rc ? bio::EstSet::rc_sid(pair.b)
                                : bio::EstSet::forward_sid(pair.b));
-  const align::Anchor anchor = anchor_of(pair);
+  const align::Anchor anchor{pair.a_pos, pair.b_pos, pair.match_len};
 
   PairEvaluation out;
   out.overlap = cfg_.bounded_align

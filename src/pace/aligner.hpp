@@ -17,19 +17,15 @@ struct PairEvaluation {
   bool memo_hit = false;  ///< served from the memo cache (0 new DP cells)
 };
 
-/// Runs the anchored banded alignment of §3.3 on the pair: string a is the
+/// Runs the anchored banded alignment of §3.3 on a pair: string a is the
 /// forward orientation of EST pair.a; string b is EST pair.b in the
 /// orientation recorded by the generator; the maximal common substring
-/// found by the GST is the anchor. Always exact (no memo, no early exit).
-PairEvaluation evaluate_pair(const bio::EstSet& ests,
-                             const pairgen::PromisingPair& pair,
-                             const align::OverlapParams& params);
-
-/// The production hot path: one per slave (or per sequential driver). Owns
-/// the DP arena (zero allocations per pair once warm) and the alignment
-/// memo, and applies the bounded kernel when the config allows. Verdicts
-/// are identical to evaluate_pair for every pair; only the DP cell count
-/// differs.
+/// found by the pair source is the anchor. One per slave or local driver.
+/// Owns the DP arena (zero allocations per pair once warm) and the
+/// alignment memo, and applies the bounded kernel when the config allows.
+/// With `memo` and `bounded_align` off every call is the exact alignment.
+/// Either switch keeps every verdict; it saves DP cells and may report a
+/// truncated or cached overlap for a rejected pair.
 class PairAligner {
  public:
   PairAligner(const bio::EstSet& ests, const PaceConfig& cfg)

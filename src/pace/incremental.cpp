@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "gst/builder.hpp"
-#include "pace/aligner.hpp"
-#include "pairgen/generator.hpp"
+#include "pace/loop.hpp"
+#include "pairgen/source.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -56,28 +56,27 @@ BatchStats IncrementalClusterer::add_batch(std::vector<bio::Sequence> batch) {
                                             cfg_.gst.window, b, counters));
   }
 
-  // Generate promising pairs from the rebuilt subtrees; only pairs that
-  // touch a new EST are fresh work.
-  pairgen::PairGenerator gen(ests_, forest, cfg_.psi);
+  // Pair up the rebuilt subtrees. Only pairs touching a new EST are fresh
+  // work: an old-old pair was considered when its later EST arrived.
+  auto source = pairgen::make_pair_source(cfg_.pair_source, ests_, forest,
+                                          cfg_.gst.window, cfg_.psi);
+  PairAligner aligner(ests_, cfg_);
+  PaceStats loop_stats;
+  ClusterLoop loop{
+      .aligner = aligner, .clusters = clusters_, .stats = loop_stats};
   std::vector<pairgen::PromisingPair> pairs;
-  while (gen.next_batch(cfg_.batchsize, pairs) > 0) {
-    for (const auto& p : pairs) {
-      ++st.pairs_generated;
-      if (p.a < old_n && p.b < old_n) {
-        ++st.pairs_filtered;  // considered when its later EST arrived
-        continue;
-      }
-      if (clusters_.same(p.a, p.b)) continue;
-      PairEvaluation ev = evaluate_pair(ests_, p, cfg_.overlap);
-      ++st.pairs_processed;
-      if (ev.accepted) {
-        ++st.pairs_accepted;
-        if (clusters_.unite(p.a, p.b)) ++st.merges;
-      }
-    }
+  while (source->next_batch(cfg_.batchsize, pairs) > 0) {
+    st.pairs_filtered += std::erase_if(pairs, [&](const auto& p) {
+      return p.a < old_n && p.b < old_n;
+    });
+    loop.run(pairs);
     pairs.clear();
   }
 
+  st.pairs_generated = source->stats().pairs_emitted;
+  st.pairs_processed = loop_stats.pairs_processed;
+  st.pairs_accepted = loop_stats.pairs_accepted;
+  st.merges = loop_stats.merges;
   st.seconds = timer.seconds();
   return st;
 }

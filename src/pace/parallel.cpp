@@ -5,7 +5,7 @@
 #include "cluster/union_find.hpp"
 #include "gst/parallel.hpp"
 #include "obs/trace.hpp"
-#include "pace/aligner.hpp"
+#include "pace/loop.hpp"
 #include "pace/master.hpp"
 #include "pace/slave.hpp"
 #include "pairgen/source.hpp"
@@ -74,36 +74,10 @@ ParallelResult cluster_single_rank(mpr::Communicator& comm,
   t = comm.clock().time();
   if (tracer) tracer->begin("alignment", "phase");
   cluster::UnionFind uf(ests.num_ests());
-  std::uint64_t uf_charged = 0;
   PairAligner aligner(ests, cfg);
-  std::vector<pairgen::PromisingPair> batch;
-  while (gen->next_batch(cfg.batchsize, batch) > 0) {
-    comm.charge(cm.pair_op, gen->take_work_units());
-    for (const auto& p : batch) {
-      if (uf.same(p.a, p.b)) {
-        ++st.pairs_skipped;
-        continue;
-      }
-      PairEvaluation ev = aligner.evaluate(p);
-      comm.charge(cm.dp_cell, ev.overlap.cells);
-      ++st.pairs_processed;
-      st.dp_cells += ev.overlap.cells;
-      if (ev.accepted) {
-        ++st.pairs_accepted;
-        if (uf.unite(p.a, p.b)) ++st.merges;
-        res.overlaps.push_back(
-            {p.a, p.b, p.b_rc, ev.overlap.kind,
-             static_cast<std::uint32_t>(ev.overlap.a_begin),
-             static_cast<std::uint32_t>(ev.overlap.a_end),
-             static_cast<std::uint32_t>(ev.overlap.b_begin),
-             static_cast<std::uint32_t>(ev.overlap.b_end),
-             ev.overlap.quality});
-      }
-    }
-    comm.charge(cm.uf_op, uf.operations() - uf_charged);
-    uf_charged = uf.operations();
-    batch.clear();
-  }
+  ClusterLoop{.aligner = aligner, .clusters = uf, .stats = st,
+              .overlaps = &res.overlaps, .comm = &comm}
+      .drain(*gen, cfg.batchsize);
   st.t_align = comm.clock().time() - t;
   if (tracer) tracer->end("alignment");
 
@@ -119,32 +93,7 @@ ParallelResult cluster_single_rank(mpr::Communicator& comm,
   metrics.counter("pace.pairs_skipped").add(st.pairs_skipped);
   metrics.counter("pace.merges").add(st.merges);
   metrics.counter("pace.dp_cells").add(st.dp_cells);
-  const MemoStats& memo = aligner.memo_stats();
-  metrics.counter("pace.memo_lookups").add(memo.lookups);
-  metrics.counter("pace.memo_hits").add(memo.hits);
-  metrics.counter("pace.memo_insertions").add(memo.insertions);
-  metrics.counter("pace.memo_evictions").add(memo.evictions);
-
-  // Kernel-variant attribution, mirroring Slave::finish: pure
-  // observability, every charged quantity is variant-invariant.
-  const align::KernelVariant kv = align::active_kernel();
-  switch (kv) {
-    case align::KernelVariant::kAvx2:
-      metrics.counter("kernel.variant.avx2").add(st.pairs_processed);
-      break;
-    case align::KernelVariant::kSse2:
-      metrics.counter("kernel.variant.sse2").add(st.pairs_processed);
-      break;
-    case align::KernelVariant::kScalar:
-      metrics.counter("kernel.variant.scalar").add(st.pairs_processed);
-      break;
-  }
-  metrics.gauge("align.arena_bytes", obs::MergeOp::kMax)
-      .set(static_cast<double>(aligner.arena().high_water_bytes()));
-  if (tracer) {
-    tracer->instant("kernel.variant", "align",
-                    static_cast<std::uint64_t>(kv));
-  }
+  publish_aligner_metrics(comm, aligner, st.pairs_processed);
   publish_phase_gauges(comm, st);
   return res;
 }

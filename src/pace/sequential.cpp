@@ -1,9 +1,9 @@
 #include "pace/sequential.hpp"
 
 #include <algorithm>
+#include <tuple>
 
 #include "gst/builder.hpp"
-#include "pace/aligner.hpp"
 #include "pairgen/source.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -24,8 +24,7 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
                                     const PaceConfig& cfg,
                                     SequentialOptions options) {
   cfg.validate();
-  const std::size_t n = ests.num_ests();
-  SequentialResult res{cluster::UnionFind(n), {}, {}};
+  SequentialResult res{cluster::UnionFind(ests.num_ests()), {}, {}};
   PaceStats& st = res.stats;
   WallTimer total;
 
@@ -39,55 +38,25 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
   st.t_sort = phase.seconds();
 
   phase.reset();
-  // The same hot-path aligner the slaves use (arena + memo + bounded
-  // kernel), so the sequential partition is computed by the identical
-  // verdict function as the parallel one.
   PairAligner aligner(ests, cfg);
-  auto handle_pair = [&](const pairgen::PromisingPair& p) {
-    if (options.cluster_skip && res.clusters.same(p.a, p.b)) {
-      ++st.pairs_skipped;
-      return;
-    }
-    PairEvaluation ev = aligner.evaluate(p);
-    ++st.pairs_processed;
-    st.dp_cells += ev.overlap.cells;
-    if (ev.accepted) {
-      ++st.pairs_accepted;
-      if (res.clusters.unite(p.a, p.b)) ++st.merges;
-      res.overlaps.push_back(
-          {p.a, p.b, p.b_rc, ev.overlap.kind,
-           static_cast<std::uint32_t>(ev.overlap.a_begin),
-           static_cast<std::uint32_t>(ev.overlap.a_end),
-           static_cast<std::uint32_t>(ev.overlap.b_begin),
-           static_cast<std::uint32_t>(ev.overlap.b_end),
-           ev.overlap.quality});
-    }
-  };
-
+  ClusterLoop loop{.aligner = aligner, .clusters = res.clusters, .stats = st,
+                   .overlaps = &res.overlaps,
+                   .cluster_skip = options.cluster_skip};
   if (!options.arbitrary_order) {
     // On-demand path: pairs arrive in decreasing maximal-common-substring
     // length, so early merges suppress later redundant alignments.
-    std::vector<pairgen::PromisingPair> batch;
-    while (gen->next_batch(cfg.batchsize, batch) > 0) {
-      for (const auto& p : batch) handle_pair(p);
-      batch.clear();
-    }
+    loop.drain(*gen, cfg.batchsize);
   } else {
     // Ablation: materialize every promising pair first (the memory-hungry
     // strategy of prior tools), then process in an order uncorrelated with
     // match length.
     std::vector<pairgen::PromisingPair> all;
-    while (gen->next_batch(1 << 20, all) > 0) {
-    }
-    std::sort(all.begin(), all.end(),
-              [](const pairgen::PromisingPair& x,
-                 const pairgen::PromisingPair& y) {
-                if (x.a != y.a) return x.a < y.a;
-                if (x.b != y.b) return x.b < y.b;
-                if (x.a_pos != y.a_pos) return x.a_pos < y.a_pos;
-                return x.b_pos < y.b_pos;
-              });
-    for (const auto& p : all) handle_pair(p);
+    while (gen->next_batch(1 << 20, all) > 0) continue;
+    std::sort(all.begin(), all.end(), [](const auto& x, const auto& y) {
+      return std::tie(x.a, x.b, x.a_pos, x.b_pos) <
+             std::tie(y.a, y.b, y.a_pos, y.b_pos);
+    });
+    loop.run(all);
   }
   st.t_align = phase.seconds();
 

@@ -1,29 +1,17 @@
 // Single-processor clustering driver.
 //
-// Shares every component with the parallel driver (GST, pair generation,
-// anchored alignment, union-find) but runs them in one thread with
-// wall-clock timing. This is the path Table 1, Table 2 and Fig 7 use, and
-// the natural entry point for library users without a rank group.
+// The single-rank driver with wall-clock phase timing in place of the
+// virtual clock: same pair source, aligner and loop (loop.hpp), so the same
+// counters and partition. This is the path Table 1, Table 2 and Fig 7 use,
+// and the natural entry point for library users without a rank group.
 #pragma once
 
 #include "bio/dataset.hpp"
 #include "cluster/union_find.hpp"
 #include "pace/config.hpp"
+#include "pace/loop.hpp"
 
 namespace estclust::pace {
-
-/// An overlap that passed the §3.3 acceptance criteria: the evidence used
-/// to merge the pair's clusters, with coordinates for downstream layout
-/// and consensus (assembly).
-struct AcceptedOverlap {
-  bio::EstId a = 0;
-  bio::EstId b = 0;
-  bool b_rc = false;
-  align::OverlapKind kind = align::OverlapKind::kNone;
-  std::uint32_t a_begin = 0, a_end = 0;  ///< span in forward(e_a)
-  std::uint32_t b_begin = 0, b_end = 0;  ///< span in oriented(e_b)
-  double quality = 0.0;
-};
 
 struct SequentialResult {
   cluster::UnionFind clusters;

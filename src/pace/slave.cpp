@@ -1,8 +1,8 @@
 #include "pace/slave.hpp"
 
-
 #include "mpr/fault.hpp"
 #include "obs/trace.hpp"
+#include "pace/loop.hpp"
 #include "util/check.hpp"
 
 namespace estclust::pace {
@@ -278,42 +278,17 @@ SlaveCounters Slave::run() {
 
 SlaveCounters Slave::finish(double loop_start) {
   counters_.pairs_generated = source_->stats().pairs_emitted;
-  counters_.memo = aligner_.memo_stats();
   counters_.loop_vtime = comm_.clock().time() - loop_start;
 
   auto& metrics = comm_.metrics();
   metrics.counter("pace.pairs_generated").add(counters_.pairs_generated);
   metrics.counter("pace.pairs_aligned").add(counters_.pairs_aligned);
   metrics.counter("pace.dp_cells").add(counters_.dp_cells);
-  metrics.counter("pace.memo_lookups").add(counters_.memo.lookups);
-  metrics.counter("pace.memo_hits").add(counters_.memo.hits);
-  metrics.counter("pace.memo_insertions").add(counters_.memo.insertions);
-  metrics.counter("pace.memo_evictions").add(counters_.memo.evictions);
   metrics.gauge("pace.t_sort", obs::MergeOp::kMax).set(counters_.sort_vtime);
   metrics.gauge("pace.t_align", obs::MergeOp::kMax)
       .set(counters_.loop_vtime);
 
-  // Kernel-variant attribution: which band-sweep implementation aligned
-  // this rank's pairs. Variants are bit-identical, so this is pure
-  // observability — all modeled quantities above are variant-invariant.
-  const align::KernelVariant kv = align::active_kernel();
-  switch (kv) {
-    case align::KernelVariant::kAvx2:
-      metrics.counter("kernel.variant.avx2").add(counters_.pairs_aligned);
-      break;
-    case align::KernelVariant::kSse2:
-      metrics.counter("kernel.variant.sse2").add(counters_.pairs_aligned);
-      break;
-    case align::KernelVariant::kScalar:
-      metrics.counter("kernel.variant.scalar").add(counters_.pairs_aligned);
-      break;
-  }
-  metrics.gauge("align.arena_bytes", obs::MergeOp::kMax)
-      .set(static_cast<double>(aligner_.arena().high_water_bytes()));
-  if (obs::RankTracer* tracer = comm_.tracer()) {
-    tracer->instant("kernel.variant", "align",
-                    static_cast<std::uint64_t>(kv));
-  }
+  publish_aligner_metrics(comm_, aligner_, counters_.pairs_aligned);
   return counters_;
 }
 

@@ -25,7 +25,6 @@ struct SlaveCounters {
   std::uint64_t pairs_generated = 0;  ///< emitted by the local pair source
   std::uint64_t pairs_aligned = 0;    ///< evaluated (memo hits included)
   std::uint64_t dp_cells = 0;
-  MemoStats memo;                     ///< alignment memo-cache activity
   double sort_vtime = 0.0;   ///< node sorting / index build (source setup)
   double loop_vtime = 0.0;   ///< interaction loop (alignment-dominated)
 };

@@ -5,7 +5,8 @@
 // These lock the whole pipeline (GST -> pair generation -> master/slave
 // protocol -> alignment verdicts -> virtual-time accounting): any change
 // that perturbs a verdict, the processing order, or a charged cost shows
-// up as a golden diff, not a silent drift.
+// up as a golden diff, not a silent drift. The sequential and incremental
+// drivers are held to the same clusters golden (check_local_drivers).
 //
 // The suite is instantiated once per PairSource backend (gst/kmer/fm) by
 // tests/CMakeLists.txt. All backends must reproduce the *same* canonical
@@ -35,7 +36,9 @@
 #include "cluster/partition.hpp"
 #include "mpr/fault.hpp"
 #include "mpr/runtime.hpp"
+#include "pace/incremental.hpp"
 #include "pace/parallel.hpp"
+#include "pace/sequential.hpp"
 #include "pairgen/source.hpp"
 #include "sim/workload.hpp"
 
@@ -99,6 +102,8 @@ std::string format_time(double t) {
 struct GoldenRun {
   std::string clusters;
   std::string runtime_line;
+  pace::PaceStats stats;
+  std::vector<pace::AcceptedOverlap> overlaps;
 };
 
 GoldenRun run_fixture(const bio::EstSet& ests, int ranks, bool memo,
@@ -121,6 +126,8 @@ GoldenRun run_fixture(const bio::EstSet& ests, int ranks, bool memo,
            << " t_total=" << format_time(res.stats.t_total)
            << " clusters=" << res.stats.num_clusters;
       out.runtime_line = line.str();
+      out.stats = res.stats;
+      out.overlaps = std::move(res.overlaps);
     }
   });
   return out;
@@ -175,6 +182,43 @@ Fixture noisy_fixture() {
   return f;
 }
 
+/// The wall-clock drivers run the same loop as `ranks=1` and must match
+/// it: the sequential driver pair for pair (counters and overlaps), and
+/// the incremental clusterer, fed the fixture whole or in four batches,
+/// partition for partition. Neither writes a runtimes line.
+void check_local_drivers(const bio::EstSet& ests, const std::string& clusters,
+                         const GoldenRun (&single_rank)[2]) {
+  for (bool memo : {false, true}) {
+    pace::PaceConfig cfg = golden_config();
+    cfg.memo = memo;
+    auto seq = pace::cluster_sequential(ests, cfg);
+    const GoldenRun& one = single_rank[memo ? 1 : 0];
+    const char* leg = memo ? "sequential memo=on" : "sequential memo=off";
+    EXPECT_EQ(cluster::canonical_partition(seq.clusters.labels()), clusters)
+        << leg;
+    EXPECT_EQ(seq.stats.pairs_processed, one.stats.pairs_processed) << leg;
+    EXPECT_EQ(seq.stats.pairs_skipped, one.stats.pairs_skipped) << leg;
+    EXPECT_EQ(seq.stats.pairs_accepted, one.stats.pairs_accepted) << leg;
+    EXPECT_EQ(seq.stats.merges, one.stats.merges) << leg;
+    EXPECT_EQ(seq.stats.dp_cells, one.stats.dp_cells) << leg;
+    EXPECT_TRUE(seq.overlaps == one.overlaps) << leg;
+  }
+
+  const std::size_t n = ests.num_ests();
+  for (std::size_t batches : {1, 4}) {
+    pace::IncrementalClusterer inc(golden_config());
+    for (std::size_t k = 0; k < batches; ++k) {
+      std::vector<bio::Sequence> batch;
+      for (std::size_t i = k * n / batches; i < (k + 1) * n / batches; ++i) {
+        batch.push_back(ests.est(static_cast<bio::EstId>(i)));
+      }
+      inc.add_batch(std::move(batch));
+    }
+    EXPECT_EQ(cluster::canonical_partition(inc.labels()), clusters)
+        << "incremental in " << batches << " batch(es)";
+  }
+}
+
 void check_fixture(const Fixture& fix) {
   const std::string fasta_path = data_path(std::string(fix.name) + ".fasta");
   const std::string clusters_path =
@@ -197,6 +241,7 @@ void check_fixture(const Fixture& fix) {
 
   std::string clusters;  // must be identical across every configuration
   std::ostringstream runtimes;
+  GoldenRun single_rank[2];  // ranks=1, indexed by memo
   for (int ranks : {1, 2, 4, 8}) {
     for (bool memo : {false, true}) {
       GoldenRun run = run_fixture(ests, ranks, memo);
@@ -208,8 +253,10 @@ void check_fixture(const Fixture& fix) {
             << " memo=" << (memo ? "on" : "off");
       }
       runtimes << run.runtime_line << '\n';
+      if (ranks == 1) single_rank[memo ? 1 : 0] = std::move(run);
     }
   }
+  check_local_drivers(ests, clusters, single_rank);
 
   if (update_mode()) {
     if (gst_backend()) write_file(clusters_path, clusters);

@@ -62,6 +62,9 @@ REQUIRED_TESTS = (
     # hide behind whatever kernel the build host happens to pick.
     "bench_wallclock",
     "golden_clusters_scalar_kernel",
+    # The per-layer benchmark binary drives the pace API from outside; its
+    # smoke run keeps the tier-1 build honest about that API.
+    "bench_layers_smoke",
 )
 
 
