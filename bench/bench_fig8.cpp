@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
                 {"p", "master busy % (n=" + std::to_string(n) + ")",
                  "master busy % (n=" + std::to_string(n2) + ")"},
                 args);
-  auto cfg = bench_pace_config();
-  cfg.trace = true;  // the utilization table is measured from the trace
+  const auto cfg = bench_pace_config();
   for (int pp : {8, 16, 32, 64, 128}) {
-    auto run1 = run_parallel_obs(wl.ests, cfg, pp);
-    auto run2 = run_parallel_obs(wl2.ests, cfg, pp);
+    // The utilization table is measured from the trace.
+    auto run1 = run_parallel_obs(wl.ests, cfg, pp, /*traced=*/true);
+    auto run2 = run_parallel_obs(wl2.ests, cfg, pp, /*traced=*/true);
     busy.add_row(
         {TablePrinter::fmt(static_cast<std::uint64_t>(pp)),
          TablePrinter::fmt(100.0 * run1.profile.master_utilization, 3),

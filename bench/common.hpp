@@ -2,8 +2,8 @@
 //
 // Every bench accepts --scale S (or env ESTCLUST_BENCH_SCALE) to multiply
 // the default problem sizes toward the paper's 81,414-EST runs; defaults
-// finish in seconds on one core. Sizes are reported in every table so the
-// output is self-describing.
+// finish in seconds on a 4-core machine. Sizes are reported in every table
+// so the output is self-describing.
 #pragma once
 
 #include <cctype>
@@ -12,11 +12,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "mpr/mailbox.hpp"
 #include "mpr/runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -79,18 +77,6 @@ inline sim::SimConfig bench_workload_config(std::size_t num_ests,
   return cfg;
 }
 
-/// ProfileOptions with the pace protocol's tag names, for bench profiles.
-inline obs::ProfileOptions bench_profile_options() {
-  obs::ProfileOptions opts;
-  opts.tag_names = {{pace::kTagReport, "REPORT"},
-                    {pace::kTagAssign, "ASSIGN"},
-                    {pace::kTagAck, "ACK"},
-                    {pace::kTagHeartbeat, "HEARTBEAT"}};
-  opts.internal_tag_base = mpr::kInternalTagBase;
-  opts.recv_overhead = mpr::CostModel{}.recv_overhead;
-  return opts;
-}
-
 /// A parallel bench run plus its observability products: the merged
 /// metrics registry (every counter/gauge the pipeline published), the
 /// per-rank virtual busy/comm/idle split, and — for traced runs — the
@@ -99,33 +85,25 @@ struct BenchRun {
   pace::ParallelResult result;
   obs::MetricsRegistry metrics;
   std::vector<obs::RankTime> rank_times;
-  obs::Profile profile;       ///< populated iff has_profile
-  bool has_profile = false;   ///< true when cfg.trace enabled the recorder
+  obs::Profile profile;  ///< traced runs only
 };
 
 /// Runs the parallel clustering at rank count p and returns rank 0's view
-/// together with the runtime's merged metrics. Honors cfg.trace; traced
-/// runs also get the critical-path profile (pure post-processing — the
-/// run itself is bit-identical either way).
+/// together with the runtime's merged metrics. `traced` runs also get the
+/// critical-path profile (pure post-processing — the run itself is
+/// bit-identical either way).
 inline BenchRun run_parallel_obs(const bio::EstSet& ests,
-                                 const pace::PaceConfig& cfg, int p) {
+                                 const pace::PaceConfig& cfg, int p,
+                                 bool traced = false) {
   mpr::Runtime rt(p, mpr::CostModel{});
-  if (cfg.trace) rt.enable_tracing(cfg.trace_message_flows);
+  if (traced) rt.enable_tracing();
   BenchRun run;
-  std::mutex mu;
-  rt.run([&](mpr::Communicator& comm) {
-    auto res = pace::cluster_parallel(comm, ests, cfg);
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      run.result = std::move(res);
-    }
-  });
+  run.result = pace::cluster_parallel(rt, ests, cfg);
   run.metrics = rt.merged_metrics();
   run.rank_times = rt.rank_times();
-  if (rt.tracer() != nullptr) {
+  if (traced) {
     run.profile = obs::build_profile(*rt.tracer(), run.rank_times,
-                                     bench_profile_options());
-    run.has_profile = true;
+                                     pace::profile_options());
   }
   return run;
 }

@@ -9,10 +9,7 @@
 namespace estclust::mpr {
 
 Communicator::Communicator(Runtime& rt, int rank) : rt_(rt), rank_(rank) {
-  if (rt_.tracing()) {
-    tracer_ = &rt_.tracer()->rank(rank_);
-    trace_flows_ = rt_.trace_message_flows();
-  }
+  if (rt_.tracing()) tracer_ = &rt_.tracer()->rank(rank_);
   check_ = rt_.check_sink();
   fault_ = rt_.fault_plan();
 }
@@ -58,7 +55,7 @@ void Communicator::send_internal(int dest, int tag, Buffer payload,
   auto& st = stats();
   ++st.messages_sent;
   st.bytes_sent += payload.size();
-  if (tracer_ && trace_flows_) {
+  if (tracer_) {
     // Flow ids are (rank+1) ## per-rank sequence, so they are globally
     // unique and identical across same-seed runs.
     m.flow_id = (static_cast<std::uint64_t>(rank_ + 1) << 40) | flow_seq_++;
@@ -105,7 +102,7 @@ void Communicator::send_faulted(int dest, int tag, Buffer payload) {
   m.arrival_vtime = base + f.extra_delay;
   ++st.messages_sent;
   st.bytes_sent += payload.size();
-  if (tracer_ && trace_flows_) {
+  if (tracer_) {
     m.flow_id = (static_cast<std::uint64_t>(rank_ + 1) << 40) | flow_seq_++;
     tracer_->flow_out(m.flow_id, dest, payload.size(), tag);
   }
@@ -118,7 +115,7 @@ void Communicator::send_faulted(int dest, int tag, Buffer payload) {
     dup.arrival_vtime = base + f.dup_delay;
     ++st.messages_sent;
     st.bytes_sent += dup.payload.size();
-    if (tracer_ && trace_flows_) {
+    if (tracer_) {
       dup.flow_id = (static_cast<std::uint64_t>(rank_ + 1) << 40) | flow_seq_++;
       tracer_->flow_out(dup.flow_id, dest, dup.payload.size(), tag);
     }
@@ -181,7 +178,7 @@ Message Communicator::finish_recv(Message m) {
     check_->on_receive(rank_, m.src, m.tag, m.payload.size());
     check_->audit_clock(rank_, clk);
   }
-  if (tracer_ && trace_flows_) {
+  if (tracer_) {
     tracer_->flow_in(m.flow_id, m.src, m.payload.size(), m.tag, wait);
   }
   return m;

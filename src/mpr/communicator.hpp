@@ -146,7 +146,6 @@ class Communicator {
   int rank_;
   int collective_seq_ = 0;  // matches across ranks: SPMD collective order
   obs::RankTracer* tracer_ = nullptr;  // null when tracing is disabled
-  bool trace_flows_ = false;
   std::uint64_t flow_seq_ = 0;  // per-rank message sequence for flow ids
   CheckSink* check_ = nullptr;  // null when checking is disabled
   FaultPlan* fault_ = nullptr;  // null when fault injection is disabled

@@ -19,8 +19,7 @@ Runtime::Runtime(int nranks, CostModel cm)
   }
 }
 
-void Runtime::enable_tracing(bool message_flows) {
-  trace_message_flows_ = message_flows;
+void Runtime::enable_tracing() {
   tracer_ = std::make_unique<obs::TraceRecorder>(size());
   for (int r = 0; r < size(); ++r) {
     tracer_->rank(r).bind(r, clocks_[r].time_ptr(), tracer_->epoch());

@@ -29,14 +29,13 @@ class Runtime {
   RankStats& stats(int rank) { return stats_[rank]; }
 
   /// Attaches a TraceRecorder (one RankTracer per rank, stamped by that
-  /// rank's virtual clock). Call before run(); no-op cost when never
-  /// called. `message_flows` records a flow event pair per point-to-point
-  /// message (the dominant share of trace volume on chatty runs).
-  void enable_tracing(bool message_flows = true);
+  /// rank's virtual clock) that records spans, instants and a flow event
+  /// pair per point-to-point message. Call before run(); no-op cost when
+  /// never called.
+  void enable_tracing();
   bool tracing() const { return tracer_ != nullptr; }
   obs::TraceRecorder* tracer() { return tracer_.get(); }
   const obs::TraceRecorder* tracer() const { return tracer_.get(); }
-  bool trace_message_flows() const { return trace_message_flows_; }
 
   /// Installs a correctness checker (see src/check/). All blocking
   /// receives then route through the sink's deadlock detector, and
@@ -86,7 +85,6 @@ class Runtime {
   std::vector<RankStats> stats_;
   std::vector<obs::MetricsRegistry> metrics_;
   std::unique_ptr<obs::TraceRecorder> tracer_;
-  bool trace_message_flows_ = true;
   std::shared_ptr<CheckSink> check_;
   std::shared_ptr<FaultPlan> fault_;
 };

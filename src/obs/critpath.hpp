@@ -70,9 +70,9 @@ struct IdleInterval {
 
 /// Computes the exact critical path of a traced run. `rank_times` is the
 /// runtime's per-rank busy/comm/idle/total split (indexed by rank, same
-/// count as the recorder); the makespan is the max total. Requires
-/// message-flow tracing (enable_tracing(true)); traces from faulted runs
-/// work too — undelivered flow-outs are simply never binding.
+/// count as the recorder); the makespan is the max total. Traces from
+/// faulted runs work too — undelivered flow-outs are simply never
+/// binding.
 /// `recv_overhead` shifts the arrival estimate of wire segments; pass the
 /// cost model's value for exact boundaries or 0 to fold the overhead into
 /// the wire.

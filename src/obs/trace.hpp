@@ -6,12 +6,9 @@
 // primary timestamp — so traces are bit-identical across runs with the same
 // seed — plus the real wall-clock as a secondary field for debugging the
 // simulator itself. Recording never advances the virtual clock: tracing a
-// run does not change its modeled time.
-//
-// Compile-time kill switch: build with -DESTCLUST_OBS_TRACING=0 and every
-// ESTCLUST_TRACE_* macro expands to nothing. At runtime, tracing is off
-// unless a TraceRecorder is attached (a null RankTracer pointer), which
-// costs one predictable branch per instrumentation site.
+// run does not change its modeled time. Tracing is off unless a
+// TraceRecorder is attached (a null RankTracer pointer), which costs one
+// predictable branch per instrumentation site.
 #pragma once
 
 #include <chrono>
@@ -156,14 +153,9 @@ class ScopedSpan {
 
 }  // namespace estclust::obs
 
-#ifndef ESTCLUST_OBS_TRACING
-#define ESTCLUST_OBS_TRACING 1
-#endif
-
 #define ESTCLUST_OBS_CONCAT2(a, b) a##b
 #define ESTCLUST_OBS_CONCAT(a, b) ESTCLUST_OBS_CONCAT2(a, b)
 
-#if ESTCLUST_OBS_TRACING
 /// Opens a span closed at end of scope. `tracer` is an obs::RankTracer*
 /// (null => no-op).
 #define ESTCLUST_TRACE_SPAN(tracer, name, category)                      \
@@ -176,11 +168,3 @@ class ScopedSpan {
     ::estclust::obs::RankTracer* estclust_t_ = (tracer);          \
     if (estclust_t_) estclust_t_->instant((name), (category), (arg)); \
   } while (0)
-#else
-#define ESTCLUST_TRACE_SPAN(tracer, name, category) \
-  do {                                              \
-  } while (0)
-#define ESTCLUST_TRACE_INSTANT(tracer, name, category, arg) \
-  do {                                                      \
-  } while (0)
-#endif

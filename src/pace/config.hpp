@@ -50,21 +50,13 @@ struct PaceConfig {
   /// slave would otherwise wait for the master).
   std::size_t pairbuf_capacity = 2048;
 
-  /// Observability. `trace` asks the drivers (tools/estclust, the bench
-  /// harness) to attach a TraceRecorder to the runtime before the run;
-  /// the pipeline itself records spans whenever the runtime has one.
-  /// `trace_message_flows` additionally records a flow-event pair per
-  /// point-to-point message (the bulk of trace volume on chatty runs).
-  /// Neither affects virtual time or the clustering.
-  bool trace = false;
-  bool trace_message_flows = true;
-
   void validate() const;
 };
 
-/// Counters and phase timings shared by the sequential and parallel
-/// drivers. Times are wall-clock seconds for the sequential driver and
-/// virtual seconds (max over ranks) for the parallel one.
+/// Counters and phase timings shared by cluster_sequential and
+/// cluster_parallel. Times are modeled virtual seconds (max over ranks),
+/// and stay 0 for a sequential run without a communicator: callers that
+/// want wall time time the call themselves.
 struct PaceStats {
   std::uint64_t pairs_generated = 0;  ///< emitted by pair generators
   std::uint64_t pairs_processed = 0;  ///< actually aligned

@@ -1,5 +1,8 @@
 #include "pace/messages.hpp"
 
+#include "mpr/clock.hpp"
+#include "mpr/mailbox.hpp"
+
 namespace estclust::pace {
 
 namespace {
@@ -11,6 +14,17 @@ std::size_t vec_bytes(const std::vector<T>& v) {
 }
 
 }  // namespace
+
+obs::ProfileOptions profile_options() {
+  obs::ProfileOptions opts;
+  opts.tag_names = {{kTagReport, "REPORT"},
+                    {kTagAssign, "ASSIGN"},
+                    {kTagAck, "ACK"},
+                    {kTagHeartbeat, "HEARTBEAT"}};
+  opts.internal_tag_base = mpr::kInternalTagBase;
+  opts.recv_overhead = mpr::CostModel{}.recv_overhead;
+  return opts;
+}
 
 mpr::Buffer encode_report(const ReportMsg& m, bool reliable) {
   mpr::BufWriter w;

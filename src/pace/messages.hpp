@@ -20,6 +20,7 @@
 
 #include "bio/dataset.hpp"
 #include "mpr/message.hpp"
+#include "obs/profile.hpp"
 #include "pairgen/generator.hpp"
 
 namespace estclust::pace {
@@ -42,6 +43,11 @@ inline constexpr int kTagAck = 3;
 /// exempt, delivered deadline seconds after the death: its arrival models
 /// the master noticing the slave's heartbeat went silent.
 inline constexpr int kTagHeartbeat = 4;
+
+/// Critical-path profile options for a pace run on a default-cost
+/// runtime: the tag names above, the runtime's internal-tag base and its
+/// receive overhead.
+obs::ProfileOptions profile_options();
 
 /// Result of one pairwise alignment, as shipped to the master. The master
 /// only needs the identity of the pair and the verdict; score/quality ride

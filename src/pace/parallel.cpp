@@ -2,14 +2,10 @@
 
 #include <algorithm>
 
-#include "cluster/union_find.hpp"
 #include "gst/parallel.hpp"
-#include "obs/trace.hpp"
-#include "pace/loop.hpp"
+#include "mpr/runtime.hpp"
 #include "pace/master.hpp"
 #include "pace/slave.hpp"
-#include "pairgen/source.hpp"
-#include "util/check.hpp"
 
 namespace estclust::pace {
 
@@ -47,64 +43,27 @@ std::vector<std::uint32_t> decode_labels(const mpr::Buffer& b) {
   return labels;
 }
 
-/// p = 1: the full pipeline on one rank with identical charging, so the
-/// single-processor point of the scaling curves is measured by the same
-/// clock as the parallel points.
-ParallelResult cluster_single_rank(mpr::Communicator& comm,
-                                   const bio::EstSet& ests,
-                                   const PaceConfig& cfg) {
-  const auto& cm = comm.cost_model();
-  ParallelResult res;
-  PaceStats& st = res.stats;
-
-  gst::ParallelBuildStats build_stats;
-  auto forest = gst::build_forest_parallel(comm, ests, cfg.gst, &build_stats);
-  st.t_partition = build_stats.partition_vtime;
-  st.t_gst = build_stats.build_vtime;
-
-  obs::RankTracer* tracer = comm.tracer();
-  double t = comm.clock().time();
-  if (tracer) tracer->begin("node_sorting", "phase");
-  auto gen = pairgen::make_pair_source(cfg.pair_source, ests, forest,
-                                       cfg.gst.window, cfg.psi);
-  comm.charge(cm.sort_op, gen->construction_sort_units());
-  st.t_sort = comm.clock().time() - t;
-  if (tracer) tracer->end("node_sorting");
-
-  t = comm.clock().time();
-  if (tracer) tracer->begin("alignment", "phase");
-  cluster::UnionFind uf(ests.num_ests());
-  PairAligner aligner(ests, cfg);
-  ClusterLoop{.aligner = aligner, .clusters = uf, .stats = st,
-              .overlaps = &res.overlaps, .comm = &comm}
-      .drain(*gen, cfg.batchsize);
-  st.t_align = comm.clock().time() - t;
-  if (tracer) tracer->end("alignment");
-
-  st.pairs_generated = gen->stats().pairs_emitted;
-  st.num_clusters = uf.num_clusters();
-  st.t_total = comm.clock().time();
-  res.labels = uf.labels();
-
-  auto& metrics = comm.metrics();
-  metrics.counter("pace.pairs_generated").add(st.pairs_generated);
-  metrics.counter("pace.pairs_aligned").add(st.pairs_processed);
-  metrics.counter("pace.pairs_accepted").add(st.pairs_accepted);
-  metrics.counter("pace.pairs_skipped").add(st.pairs_skipped);
-  metrics.counter("pace.merges").add(st.merges);
-  metrics.counter("pace.dp_cells").add(st.dp_cells);
-  publish_aligner_metrics(comm, aligner, st.pairs_processed);
-  publish_phase_gauges(comm, st);
-  return res;
-}
-
 }  // namespace
 
 ParallelResult cluster_parallel(mpr::Communicator& comm,
                                 const bio::EstSet& ests,
                                 const PaceConfig& cfg) {
   cfg.validate();
-  if (comm.size() == 1) return cluster_single_rank(comm, ests, cfg);
+  if (comm.size() == 1) {
+    // p = 1: the single-processor pipeline on this rank's clock, so the
+    // first point of the scaling curves is measured like the others.
+    SequentialResult seq = cluster_sequential(ests, cfg, {}, &comm);
+    const PaceStats& st = seq.stats;
+    auto& metrics = comm.metrics();
+    metrics.counter("pace.pairs_generated").add(st.pairs_generated);
+    metrics.counter("pace.pairs_aligned").add(st.pairs_processed);
+    metrics.counter("pace.pairs_accepted").add(st.pairs_accepted);
+    metrics.counter("pace.pairs_skipped").add(st.pairs_skipped);
+    metrics.counter("pace.merges").add(st.merges);
+    metrics.counter("pace.dp_cells").add(st.dp_cells);
+    publish_phase_gauges(comm, st);
+    return {seq.clusters.labels(), st, std::move(seq.overlaps)};
+  }
 
   // Keep the soft WORKBUF cap comfortably above the slaves' unsolicited
   // initial batches so flow control starts in steady state.
@@ -164,6 +123,17 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   // Share the clustering with every rank.
   res.labels = decode_labels(comm.broadcast(encode_labels(labels)));
   return res;
+}
+
+ParallelResult cluster_parallel(mpr::Runtime& rt, const bio::EstSet& ests,
+                                const PaceConfig& cfg) {
+  ParallelResult master_view;
+  rt.run([&](mpr::Communicator& comm) {
+    ParallelResult res = cluster_parallel(comm, ests, cfg);
+    // The only writer; run() joins every rank before returning.
+    if (comm.rank() == 0) master_view = std::move(res);
+  });
+  return master_view;
 }
 
 }  // namespace estclust::pace

@@ -27,11 +27,15 @@ struct ParallelResult {
 
 /// Collective: every rank of `comm` calls this with the same inputs.
 /// Rank 0 acts as the master (clusters + pair selection); the remaining
-/// ranks build the distributed GST, generate pairs and align. With a
-/// single rank the whole pipeline runs locally under the same virtual-time
-/// accounting, providing the p = 1 baseline of Fig 6.
+/// ranks build the distributed GST, generate pairs and align. A single
+/// rank runs cluster_sequential on its clock instead: the p = 1 baseline
+/// of Fig 6.
 ParallelResult cluster_parallel(mpr::Communicator& comm,
                                 const bio::EstSet& ests,
+                                const PaceConfig& cfg);
+
+/// Runs cluster_parallel on every rank of `rt` and returns rank 0's view.
+ParallelResult cluster_parallel(mpr::Runtime& rt, const bio::EstSet& ests,
                                 const PaceConfig& cfg);
 
 }  // namespace estclust::pace

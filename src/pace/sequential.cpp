@@ -4,9 +4,11 @@
 #include <tuple>
 
 #include "gst/builder.hpp"
+#include "gst/parallel.hpp"
+#include "mpr/communicator.hpp"
+#include "obs/trace.hpp"
 #include "pairgen/source.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace estclust::pace {
 
@@ -22,25 +24,39 @@ void PaceConfig::validate() const {
 
 SequentialResult cluster_sequential(const bio::EstSet& ests,
                                     const PaceConfig& cfg,
-                                    SequentialOptions options) {
+                                    SequentialOptions options,
+                                    mpr::Communicator* comm) {
   cfg.validate();
   SequentialResult res{cluster::UnionFind(ests.num_ests()), {}, {}};
   PaceStats& st = res.stats;
-  WallTimer total;
+  const auto now = [comm] { return comm ? comm->clock().time() : 0.0; };
+  obs::RankTracer* tracer = comm ? comm->tracer() : nullptr;
 
-  WallTimer phase;
-  auto forest = gst::build_forest_sequential(ests, cfg.gst.window);
-  st.t_gst = phase.seconds();
+  std::vector<gst::Tree> forest;
+  if (comm) {
+    gst::ParallelBuildStats build_stats;
+    forest = gst::build_forest_parallel(*comm, ests, cfg.gst, &build_stats);
+    st.t_partition = build_stats.partition_vtime;
+    st.t_gst = build_stats.build_vtime;
+  } else {
+    forest = gst::build_forest_sequential(ests, cfg.gst.window);
+  }
 
-  phase.reset();
+  double t = now();
+  if (tracer) tracer->begin("node_sorting", "phase");
   auto gen = pairgen::make_pair_source(cfg.pair_source, ests, forest,
                                        cfg.gst.window, cfg.psi);
-  st.t_sort = phase.seconds();
+  if (comm) {
+    comm->charge(comm->cost_model().sort_op, gen->construction_sort_units());
+  }
+  st.t_sort = now() - t;
+  if (tracer) tracer->end("node_sorting");
 
-  phase.reset();
+  t = now();
+  if (tracer) tracer->begin("alignment", "phase");
   PairAligner aligner(ests, cfg);
   ClusterLoop loop{.aligner = aligner, .clusters = res.clusters, .stats = st,
-                   .overlaps = &res.overlaps,
+                   .overlaps = &res.overlaps, .comm = comm,
                    .cluster_skip = options.cluster_skip};
   if (!options.arbitrary_order) {
     // On-demand path: pairs arrive in decreasing maximal-common-substring
@@ -56,13 +72,15 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
       return std::tie(x.a, x.b, x.a_pos, x.b_pos) <
              std::tie(y.a, y.b, y.a_pos, y.b_pos);
     });
-    loop.run(all);
+    loop.run(all, gen->take_work_units());
   }
-  st.t_align = phase.seconds();
+  st.t_align = now() - t;
+  if (tracer) tracer->end("alignment");
 
   st.pairs_generated = gen->stats().pairs_emitted;
   st.num_clusters = res.clusters.num_clusters();
-  st.t_total = total.seconds();
+  st.t_total = now();
+  if (comm) publish_aligner_metrics(*comm, aligner, st.pairs_processed);
   return res;
 }
 

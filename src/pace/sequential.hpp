@@ -1,9 +1,14 @@
-// Single-processor clustering driver.
+// Single-processor clustering: the one p = 1 pipeline.
 //
-// The single-rank driver with wall-clock phase timing in place of the
-// virtual clock: same pair source, aligner and loop (loop.hpp), so the same
-// counters and partition. This is the path Table 1, Table 2 and Fig 7 use,
-// and the natural entry point for library users without a rank group.
+// Partition, GST, node sort and the clustering loop (loop.hpp) on one
+// processor, on whichever clock the caller attaches. Without a
+// communicator it charges nothing and reads no clock — the path Table 1,
+// Table 2 and Fig 7 time from outside, and the natural entry point for
+// library users. With one it builds through the rank's distributed GST
+// and charges the rank's virtual clock, which is how cluster_parallel
+// runs p = 1 (Fig 6's first point) and how a traced or checked
+// single-processor run is observed. Both clocks see the same pair stream,
+// counters and partition.
 #pragma once
 
 #include "bio/dataset.hpp"
@@ -33,9 +38,13 @@ struct SequentialOptions {
   bool cluster_skip = true;
 };
 
-/// Clusters `ests` and returns the final union-find plus counters.
+/// Clusters `ests` and returns the final union-find plus counters. `comm`
+/// is the clock: null runs unmetered (every PaceStats time stays 0); a
+/// single-rank communicator gets the modeled charges, phase spans and
+/// aligner metrics, and PaceStats times are its virtual seconds.
 SequentialResult cluster_sequential(const bio::EstSet& ests,
                                     const PaceConfig& cfg,
-                                    SequentialOptions options = {});
+                                    SequentialOptions options = {},
+                                    mpr::Communicator* comm = nullptr);
 
 }  // namespace estclust::pace

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <sstream>
 #include <vector>
 
@@ -47,19 +46,9 @@ TracedRun run_pace(const bio::EstSet& ests, const pace::PaceConfig& cfg,
                    int p, bool traced, mpr::Runtime* keep = nullptr) {
   mpr::Runtime local(p, mpr::CostModel{});
   mpr::Runtime& rt = keep ? *keep : local;
-  if (traced) rt.enable_tracing(true);
-  TracedRun out;
-  std::mutex mu;
-  rt.run([&](mpr::Communicator& comm) {
-    auto res = pace::cluster_parallel(comm, ests, cfg);
-    if (comm.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      out.labels = std::move(res.labels);
-      out.stats = res.stats;
-    }
-  });
-  out.elapsed_vtime = rt.elapsed_vtime();
-  return out;
+  if (traced) rt.enable_tracing();
+  auto res = pace::cluster_parallel(rt, ests, cfg);
+  return {std::move(res.labels), res.stats, rt.elapsed_vtime()};
 }
 
 TEST(TraceRecorderTest, ValidatesMatchedSpans) {
@@ -178,12 +167,20 @@ TEST(MetricsRegistryTest, ReportAndJsonAreDeterministic) {
   EXPECT_EQ(j.str().front(), '{');
 }
 
-// A traced parallel run produces identical virtual timestamps every time:
-// the trace is a function of the input, not the schedule.
-TEST(ObsPipelineTest, DeterministicVirtualTimestamps) {
+// The pipeline tests below run at p = 1 (cluster_sequential on the rank's
+// virtual clock: no master, no pairgen phase, no message) and at p = 3
+// (one master, two slaves).
+class ObsPipelineRanksTest : public testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, ObsPipelineRanksTest,
+                         testing::Values(1, 3));
+
+// A traced run produces identical virtual timestamps every time: the
+// trace is a function of the input, not the schedule.
+TEST_P(ObsPipelineRanksTest, DeterministicVirtualTimestamps) {
   auto wl = small_workload();
   auto cfg = small_pace_config();
-  const int p = 3;
+  const int p = GetParam();
 
   mpr::Runtime rt1(p, mpr::CostModel{});
   mpr::Runtime rt2(p, mpr::CostModel{});
@@ -253,35 +250,41 @@ TEST(ObsPipelineTest, ChromeTraceWellFormed) {
   }
 }
 
-TEST(ObsPipelineTest, BreakdownReportCoversPipelinePhases) {
+TEST_P(ObsPipelineRanksTest, BreakdownReportCoversPipelinePhases) {
   auto wl = small_workload();
   auto cfg = small_pace_config();
-  const int p = 3;
+  const int p = GetParam();
   mpr::Runtime rt(p, mpr::CostModel{});
   run_pace(wl.ests, cfg, p, true, &rt);
 
+  // Table 3's components on every path; pair generation and master
+  // service are phases of the master/slave protocol only.
   auto agg = obs::aggregate_phases(*rt.tracer());
   EXPECT_GE(agg.size(), 5u);
-  for (const char* phase : {"partitioning", "gst_build", "node_sorting",
-                            "pairgen", "alignment", "master_service"}) {
+  for (const char* phase :
+       {"partitioning", "gst_build", "node_sorting", "alignment"}) {
     EXPECT_TRUE(agg.count(phase)) << phase;
+  }
+  for (const char* phase : {"pairgen", "master_service"}) {
+    EXPECT_EQ(agg.count(phase), p > 1 ? 1u : 0u) << phase;
   }
 
   std::ostringstream os;
   obs::write_breakdown_report(os, *rt.tracer(), rt.rank_times());
   const std::string report = os.str();
-  for (const char* phase : {"partitioning", "gst_build", "node_sorting",
-                            "alignment", "master busy"}) {
+  for (const char* phase :
+       {"partitioning", "gst_build", "node_sorting", "alignment"}) {
     EXPECT_NE(report.find(phase), std::string::npos) << phase;
   }
+  EXPECT_EQ(report.find("master busy") != std::string::npos, p > 1);
 }
 
 // Registry round-trip: the counters published by the pipeline agree with
 // the aggregated PaceStats rank 0 reports.
-TEST(ObsPipelineTest, RegistryMatchesPaceStats) {
+TEST_P(ObsPipelineRanksTest, RegistryMatchesPaceStats) {
   auto wl = small_workload();
   auto cfg = small_pace_config();
-  const int p = 3;
+  const int p = GetParam();
   mpr::Runtime rt(p, mpr::CostModel{});
   auto run = run_pace(wl.ests, cfg, p, false, &rt);
 
@@ -294,16 +297,17 @@ TEST(ObsPipelineTest, RegistryMatchesPaceStats) {
             run.stats.pairs_accepted);
   EXPECT_DOUBLE_EQ(merged.gauge_value("pace.t_total"), run.stats.t_total);
   EXPECT_GT(merged.counter_value("gst.suffixes_owned"), 0u);
-  EXPECT_GT(merged.counter_value("mpr.messages_sent"), 0u);
-  EXPECT_GT(merged.counter_value("mpr.bytes_sent"), 0u);
+  // One rank runs without a single message.
+  EXPECT_EQ(merged.counter_value("mpr.messages_sent") > 0, p > 1);
+  EXPECT_EQ(merged.counter_value("mpr.bytes_sent") > 0, p > 1);
 }
 
 // Tracing must be free in virtual time: same clusters, same modeled
 // runtime, whether or not a recorder is attached.
-TEST(ObsPipelineTest, TracingDoesNotPerturbTheRun) {
+TEST_P(ObsPipelineRanksTest, TracingDoesNotPerturbTheRun) {
   auto wl = small_workload();
   auto cfg = small_pace_config();
-  const int p = 3;
+  const int p = GetParam();
   auto traced = run_pace(wl.ests, cfg, p, true);
   auto untraced = run_pace(wl.ests, cfg, p, false);
   EXPECT_EQ(traced.labels, untraced.labels);
@@ -372,17 +376,6 @@ TEST(MetricsRegistryTest, HistogramQuantilesMergeStable) {
   EXPECT_NE(json.str().find("h.p99"), std::string::npos);
 }
 
-obs::ProfileOptions test_profile_options() {
-  obs::ProfileOptions opts;
-  opts.tag_names = {{pace::kTagReport, "REPORT"},
-                    {pace::kTagAssign, "ASSIGN"},
-                    {pace::kTagAck, "ACK"},
-                    {pace::kTagHeartbeat, "HEARTBEAT"}};
-  opts.internal_tag_base = mpr::kInternalTagBase;
-  opts.recv_overhead = mpr::CostModel{}.recv_overhead;
-  return opts;
-}
-
 // The tentpole invariant: the critical path computed from the trace tiles
 // [0, makespan] contiguously, so its length equals the makespan bitwise —
 // not merely within a tolerance.
@@ -433,7 +426,7 @@ TEST(CritPathTest, SlackAndIdleAttributionAddUp) {
   mpr::Runtime rt(p, mpr::CostModel{});
   run_pace(wl.ests, cfg, p, true, &rt);
 
-  const auto opts = test_profile_options();
+  const auto opts = pace::profile_options();
   auto prof = obs::build_profile(*rt.tracer(), rt.rank_times(), opts);
   ASSERT_EQ(prof.ranks, p);
   ASSERT_EQ(prof.rank_rows.size(), static_cast<std::size_t>(p));
@@ -501,7 +494,7 @@ TEST(CritPathTest, ProfileOutputsAreDeterministic) {
   run_pace(wl.ests, cfg, p, true, &rt1);
   run_pace(wl.ests, cfg, p, true, &rt2);
 
-  const auto opts = test_profile_options();
+  const auto opts = pace::profile_options();
   auto prof1 = obs::build_profile(*rt1.tracer(), rt1.rank_times(), opts);
   auto prof2 = obs::build_profile(*rt2.tracer(), rt2.rank_times(), opts);
   std::ostringstream j1, j2, r1, r2;
@@ -522,7 +515,7 @@ TEST(CritPathTest, ProfileOutputsAreDeterministic) {
 }
 
 TEST(CritPathTest, TagLabelsFollowTheNamingScheme) {
-  const auto opts = test_profile_options();
+  const auto opts = pace::profile_options();
   EXPECT_EQ(obs::tag_label(pace::kTagReport, opts), "REPORT");
   EXPECT_EQ(obs::tag_label(pace::kTagAssign, opts), "ASSIGN");
   EXPECT_EQ(obs::tag_label(-1, opts), "untagged");

@@ -41,6 +41,15 @@ REQUIRED_TESTS = (
     "analyze_detflow",
     "analyze_bounds",
     "trace_validate",
+    # Observation at one rank: the traced/checked run must equal the plain
+    # run's clusters and trace exactly one rank; bad invocations fail
+    # before clustering.
+    "cli_trace_single_rank",
+    "cli_trace_single_rank_clusters",
+    "trace_validate_single_rank",
+    "cli_cluster_unwritable_out",
+    "cli_cluster_unwritable_trace",
+    "cli_faults_need_ranks",
     "headers_standalone",
     "profile_smoke",
     "bench_smoke",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Structural validator for estclust Chrome trace output.
 
-Usage: check_trace.py [--allow-lost-flows] trace.json [breakdown.txt]
+Usage: check_trace.py --ranks N [--allow-lost-flows] trace.json [breakdown.txt]
 
 Checks that the trace is well-formed Chrome trace-event JSON:
   * every B (span begin) has a matching E on the same (pid, tid),
@@ -12,17 +12,18 @@ Checks that the trace is well-formed Chrome trace-event JSON:
     rank with send ts <= recv ts, and — unless --allow-lost-flows is
     given for faulted traces, where drops and deaths legitimately strand
     messages — every start is matched by a finish;
-  * the trace covers >= 2 ranks and >= 5 distinct phase span names.
+  * the trace covers exactly the N ranks of the run (--ranks) and
+    >= 5 distinct phase span names.
 
 When a breakdown report is given, also checks it mentions the
 per-component phase names used by Table 3 of the paper.
 """
 
+import argparse
 import json
 import sys
 
 REQUIRED_PHASES = 5
-REQUIRED_RANKS = 2
 # Components of the paper's Table 3 runtime breakdown, as instrumented.
 BREAKDOWN_COMPONENTS = ["partitioning", "gst_build", "node_sorting",
                         "alignment"]
@@ -33,7 +34,7 @@ def fail(msg):
     sys.exit(1)
 
 
-def validate_trace(path, allow_lost_flows=False):
+def validate_trace(path, nranks, allow_lost_flows=False):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
 
@@ -114,8 +115,8 @@ def validate_trace(path, allow_lost_flows=False):
         print(f"check_trace: note: {len(lost)} lost flow(s) tolerated "
               f"(faulted trace)")
 
-    if len(ranks) < REQUIRED_RANKS:
-        fail(f"trace covers {len(ranks)} rank(s), need >= {REQUIRED_RANKS}")
+    if len(ranks) != nranks:
+        fail(f"trace covers {len(ranks)} rank(s), expected {nranks}")
     if len(span_names) < REQUIRED_PHASES:
         fail(f"only {len(span_names)} distinct span names "
              f"({sorted(span_names)}), need >= {REQUIRED_PHASES}")
@@ -135,15 +136,20 @@ def validate_breakdown(path):
 
 
 def main():
-    argv = sys.argv[1:]
-    allow_lost = "--allow-lost-flows" in argv
-    argv = [a for a in argv if a != "--allow-lost-flows"]
-    if not argv:
-        fail("usage: check_trace.py [--allow-lost-flows] trace.json "
-             "[breakdown.txt]")
-    validate_trace(argv[0], allow_lost_flows=allow_lost)
-    if len(argv) > 1:
-        validate_breakdown(argv[1])
+    ap = argparse.ArgumentParser(
+        description="Structural validator for estclust Chrome trace output.")
+    ap.add_argument("--ranks", type=int, required=True,
+                    help="rank count of the traced run; the trace must "
+                         "cover exactly this many ranks")
+    ap.add_argument("--allow-lost-flows", action="store_true",
+                    help="tolerate unmatched flow starts (faulted runs)")
+    ap.add_argument("trace")
+    ap.add_argument("breakdown", nargs="?")
+    args = ap.parse_args()
+    validate_trace(args.trace, args.ranks,
+                   allow_lost_flows=args.allow_lost_flows)
+    if args.breakdown:
+        validate_breakdown(args.breakdown)
     print("check_trace: PASS")
 
 

@@ -4,7 +4,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -15,7 +15,6 @@
 #include "gst/builder.hpp"
 #include "mpr/fault.hpp"
 #include "mpr/runtime.hpp"
-#include "mpr/mailbox.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -27,6 +26,7 @@
 #include "sim/workload.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -48,17 +48,25 @@ int usage() {
          "           [--profile[=prof.json]] [--metrics]\n"
          "           [--check off|warn|strict]  (Chrome trace, phase\n"
          "            breakdown, critical-path profile, metrics dump and\n"
-         "            protocol checking ride on the virtual-time runtime;\n"
-         "            they imply a parallel run)\n"
+         "            protocol checking run on the virtual-time runtime at\n"
+         "            any --ranks; the clusters are unchanged)\n"
          "           [--faults off|seed=U64,drop=P,dup=P,delay=P,\n"
          "                     kill=RANK@VTIME,...]  (deterministic fault\n"
-         "            injection into the master/slave protocol; implies a\n"
-         "            parallel run. Clusters are unchanged by any plan.)\n"
+         "            injection into the master/slave protocol; needs\n"
+         "            --ranks 2 or more. Clusters are unchanged by any plan.)\n"
          "  eval     --clusters clusters.txt --truth truth.txt --in lib.fa\n"
          "           (OQ/OV/UN/CC against one gene id per line, EST order)\n"
          "  splice   --in lib.fa [--psi 20] [--window 8] [--min-gap 25]\n"
          "  assemble --in lib.fa --out contigs.fa [cluster options]\n";
   return 2;
+}
+
+/// Opens `path` for writing. Every command opens its outputs before it
+/// starts work, so a bad path fails fast instead of after the run.
+std::ofstream open_output(const std::string& path) {
+  std::ofstream os(path);
+  ESTCLUST_CHECK_MSG(os.good(), "cannot open " << path << " for writing");
+  return os;
 }
 
 int cmd_simulate(const CliArgs& args) {
@@ -67,19 +75,23 @@ int cmd_simulate(const CliArgs& args) {
       static_cast<std::uint64_t>(args.get_int("seed", 20020811)));
   if (auto g = args.get("genes")) cfg.num_genes = std::stoull(*g);
   cfg.alt_splice_prob = args.get_double("alt-splice", 0.0);
-  auto wl = sim::generate(cfg);
 
   const std::string out = args.get_string("out", "library.fa");
+  std::ofstream fasta = open_output(out);
+  const auto truth_path = args.get("truth");
+  std::optional<std::ofstream> truth;
+  if (truth_path) truth = open_output(*truth_path);
+
+  auto wl = sim::generate(cfg);
   std::vector<bio::Sequence> seqs;
   for (std::size_t i = 0; i < wl.ests.num_ests(); ++i) {
     seqs.push_back(wl.ests.est(static_cast<bio::EstId>(i)));
   }
-  bio::write_fasta_file(out, seqs);
+  bio::write_fasta(fasta, seqs);
   std::cout << "wrote " << seqs.size() << " ESTs from " << cfg.num_genes
             << " genes to " << out << "\n";
-  if (auto truth_path = args.get("truth")) {
-    std::ofstream t(*truth_path);
-    for (auto g : wl.truth) t << g << '\n';
+  if (truth) {
+    for (auto g : wl.truth) *truth << g << '\n';
     std::cout << "wrote truth labels to " << *truth_path << "\n";
   }
   return 0;
@@ -106,17 +118,16 @@ pace::PaceConfig cluster_config(const CliArgs& args) {
 int cmd_cluster(const CliArgs& args) {
   auto in = args.get("in");
   if (!in) return usage();
-  bio::EstSet ests(bio::read_fasta_file(*in));
   auto cfg = cluster_config(args);
 
   const auto trace_path = args.get("trace");
   const auto breakdown_path = args.get("breakdown");
   const bool want_metrics = args.has_flag("metrics");
   // --profile alone prints the report; --profile=FILE also writes the
-  // deterministic profile JSON. Profiling needs the flow-traced runtime.
+  // deterministic profile JSON. Profiling reads the trace.
   const bool want_profile = args.has_flag("profile");
   const auto profile_path = args.get("profile");
-  cfg.trace =
+  const bool tracing =
       trace_path.has_value() || breakdown_path.has_value() || want_profile;
 
   mpr::CheckMode check_mode = mpr::CheckMode::kOff;
@@ -128,75 +139,65 @@ int cmd_cluster(const CliArgs& args) {
   const mpr::FaultSpec faults =
       mpr::parse_fault_spec(args.get_string("faults", "off"));
   faults.validate();
+  const int ranks = static_cast<int>(args.get_int("ranks", 1));
+  ESTCLUST_CHECK_MSG(ranks >= 1, "--ranks must be at least 1 (got "
+                                     << ranks << ")");
+  ESTCLUST_CHECK_MSG(!faults.enabled || ranks >= 2,
+                     "--faults needs --ranks 2 or more: faults are injected "
+                     "into the master/slave protocol");
+
+  bio::EstSet ests(bio::read_fasta_file(*in));
+  const std::string out = args.get_string("out", "clusters.txt");
+  std::ofstream os = open_output(out);
+  std::optional<std::ofstream> trace_os, breakdown_os, profile_os;
+  if (trace_path) trace_os = open_output(*trace_path);
+  if (breakdown_path) breakdown_os = open_output(*breakdown_path);
+  if (profile_path && !profile_path->empty()) {
+    profile_os = open_output(*profile_path);
+  }
 
   std::vector<std::uint32_t> labels;
-  int ranks = static_cast<int>(args.get_int("ranks", 1));
-  // Observability, checking and fault injection ride on the virtual-time
-  // runtime; a single-rank request for any of them still routes through
-  // it (with p = 2: one master, one slave).
-  if (ranks < 2 && (cfg.trace || want_metrics || faults.enabled ||
-                    check_mode != mpr::CheckMode::kOff)) {
-    ranks = 2;
-  }
-  if (ranks > 1) {
+  if (ranks > 1 || tracing || want_metrics ||
+      check_mode != mpr::CheckMode::kOff) {
+    // The modeled run. At one rank it is the same pipeline as the plain
+    // run below, on the virtual clock, so observing it changes nothing.
     mpr::Runtime rt(ranks, mpr::CostModel{});
     if (faults.enabled) {
       rt.set_fault_plan(std::make_shared<mpr::FaultPlan>(faults, ranks));
       std::cout << "fault injection: " << mpr::format_fault_spec(faults)
                 << "\n";
     }
-    if (cfg.trace) rt.enable_tracing(cfg.trace_message_flows);
+    if (tracing) rt.enable_tracing();
     check::Checker* checker = check::enable_checking(rt, check_mode);
-    std::mutex mu;
-    rt.run([&](mpr::Communicator& comm) {
-      auto res = pace::cluster_parallel(comm, ests, cfg);
-      if (comm.rank() == 0) {
-        std::lock_guard<std::mutex> lock(mu);
-        labels = std::move(res.labels);
-        std::cout << "parallel run (" << ranks << " ranks): "
-                  << res.stats.pairs_processed << " of "
-                  << res.stats.pairs_generated
-                  << " promising pairs aligned; modeled run-time "
-                  << res.stats.t_total << " virt s\n";
-      }
-    });
-    if (trace_path) {
-      std::ofstream ts(*trace_path);
-      ESTCLUST_CHECK_MSG(ts.good(), "cannot open " << *trace_path);
-      obs::write_chrome_trace(ts, *rt.tracer());
+    auto res = pace::cluster_parallel(rt, ests, cfg);
+    labels = std::move(res.labels);
+    std::cout << ranks << "-rank run: " << res.stats.pairs_processed
+              << " of " << res.stats.pairs_generated
+              << " promising pairs aligned; modeled run-time "
+              << res.stats.t_total << " virt s\n";
+    if (trace_os) {
+      obs::write_chrome_trace(*trace_os, *rt.tracer());
       std::cout << "trace (" << rt.tracer()->total_events()
                 << " events) written to " << *trace_path << "\n";
     }
-    if (breakdown_path) {
-      std::ofstream bs(*breakdown_path);
-      ESTCLUST_CHECK_MSG(bs.good(), "cannot open " << *breakdown_path);
-      obs::write_breakdown_report(bs, *rt.tracer(), rt.rank_times());
+    if (breakdown_os) {
+      obs::write_breakdown_report(*breakdown_os, *rt.tracer(),
+                                  rt.rank_times());
       std::cout << "phase breakdown written to " << *breakdown_path << "\n";
     }
     if (want_profile) {
-      obs::ProfileOptions popts;
-      popts.tag_names = {{pace::kTagReport, "REPORT"},
-                         {pace::kTagAssign, "ASSIGN"},
-                         {pace::kTagAck, "ACK"},
-                         {pace::kTagHeartbeat, "HEARTBEAT"}};
-      popts.internal_tag_base = mpr::kInternalTagBase;
-      popts.recv_overhead = mpr::CostModel{}.recv_overhead;
+      const obs::ProfileOptions popts = pace::profile_options();
       const obs::Profile prof =
           obs::build_profile(*rt.tracer(), rt.rank_times(), popts);
-      if (profile_path && !profile_path->empty()) {
-        std::ofstream ps(*profile_path);
-        ESTCLUST_CHECK_MSG(ps.good(), "cannot open " << *profile_path);
-        obs::write_profile_json(ps, prof);
+      if (profile_os) {
+        obs::write_profile_json(*profile_os, prof);
         std::cout << "profile (" << prof.path.segments.size()
                   << " critical-path segments) written to " << *profile_path
                   << "\n";
       }
       obs::write_profile_report(std::cout, prof, popts);
     }
-    if (want_metrics) {
-      auto merged = rt.merged_metrics();
-      merged.write_report(std::cout);
-    }
+    if (want_metrics) rt.merged_metrics().write_report(std::cout);
     if (checker) {
       const auto findings = checker->findings();
       if (findings.empty()) {
@@ -207,12 +208,13 @@ int cmd_cluster(const CliArgs& args) {
       }
     }
   } else {
+    WallTimer timer;
     auto res = pace::cluster_sequential(ests, cfg);
+    const double seconds = timer.seconds();
     labels = res.clusters.labels();
     std::cout << res.stats.pairs_processed << " of "
               << res.stats.pairs_generated
-              << " promising pairs aligned in " << res.stats.t_total
-              << " s\n";
+              << " promising pairs aligned in " << seconds << " s\n";
   }
 
   // Group ESTs by label, ordered by smallest member.
@@ -220,8 +222,6 @@ int cmd_cluster(const CliArgs& args) {
   for (std::size_t i = 0; i < labels.size(); ++i) {
     groups[labels[i]].push_back(i);
   }
-  const std::string out = args.get_string("out", "clusters.txt");
-  std::ofstream os(out);
   std::size_t cid = 0;
   for (const auto& [label, members] : groups) {
     os << ">cluster_" << cid++ << " size=" << members.size() << '\n';
@@ -337,6 +337,8 @@ int cmd_assemble(const CliArgs& args) {
   if (!in) return usage();
   bio::EstSet ests(bio::read_fasta_file(*in));
   auto cfg = cluster_config(args);
+  const std::string out = args.get_string("out", "contigs.fa");
+  std::ofstream os = open_output(out);
 
   auto res = pace::cluster_sequential(ests, cfg);
   auto contigs = assembly::assemble_clusters(ests, res.overlaps);
@@ -348,8 +350,7 @@ int cmd_assemble(const CliArgs& args) {
        << " len=" << contigs[c].consensus.size();
     out_seqs.push_back({id.str(), contigs[c].consensus});
   }
-  const std::string out = args.get_string("out", "contigs.fa");
-  bio::write_fasta_file(out, out_seqs);
+  bio::write_fasta(os, out_seqs);
   std::cout << contigs.size() << " contigs from " << ests.num_ests()
             << " ESTs written to " << out << "\n";
   return 0;

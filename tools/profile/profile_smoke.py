@@ -3,7 +3,7 @@
 
 Usage: profile_smoke.py <estclust-binary> <critpath.py> <input.fasta>
 
-For each processor count in {2, 4, 8}:
+For each processor count in {1, 2, 4, 8}:
   * runs `estclust cluster --profile=... ` twice and requires the two
     profile JSON files to be byte-identical (the profile holds no
     wall-clock data and formats doubles with %.17g, so any divergence is
@@ -12,6 +12,8 @@ For each processor count in {2, 4, 8}:
     bit-equal to the makespan, per-rank slack identities);
   * runs the same clustering without --profile and requires the cluster
     output to be byte-identical — profiling must never perturb the run.
+    At p = 1 that plain run is the unmetered wall-clock path, so the
+    profiled single-rank pipeline must reproduce it.
 """
 
 import filecmp
@@ -20,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-RANKS = [2, 4, 8]
+RANKS = [1, 2, 4, 8]
 
 
 def fail(msg):
