@@ -19,41 +19,50 @@ PairGenerator::PairGenerator(const bio::EstSet& ests,
                              const std::vector<gst::Tree>& forest,
                              std::uint32_t psi)
     : ests_(ests), forest_(forest), psi_(psi) {
+  std::uint64_t num_nodes = 0;
+  base_.reserve(forest_.size());
   for (const auto& t : forest_) {
     ESTCLUST_CHECK_MSG(
         psi_ >= t.prefix_depth,
         "psi must be >= the GST bucket window w (suffixes shorter than w "
         "were dropped)");
+    base_.push_back(static_cast<std::uint32_t>(num_nodes));
+    num_nodes += t.size();
+    ESTCLUST_CHECK_MSG(num_nodes <= kWantsSlot,
+                       "forest too large for 32-bit node ids");
   }
-  // Collect nodes of string-depth >= psi. Sorting puts deeper nodes first;
-  // within equal depth, higher node index first so that a $-leaf (which
-  // ties its parent's depth) is processed before its parent.
-  remaining_.assign(forest_.size(), 0);
+  // One pass counts the nodes of each depth >= psi and marks their
+  // children as slot holders.
+  slot_of_.assign(num_nodes, kNoSlot);
+  std::vector<std::size_t> at_depth;  // indexed by depth - psi
   for (std::uint32_t t = 0; t < forest_.size(); ++t) {
-    for (std::uint32_t v = 0; v < forest_[t].size(); ++v) {
-      if (forest_[t].depth(v) >= psi_) {
-        order_.push_back({t, v});
-        ++remaining_[t];
-      }
+    const gst::Tree& tree = forest_[t];
+    for (std::uint32_t v = 0; v < tree.size(); ++v) {
+      const std::uint32_t d = tree.depth(v);
+      if (d < psi_) continue;
+      if (d - psi_ >= at_depth.size()) at_depth.resize(d - psi_ + 1, 0);
+      ++at_depth[d - psi_];
+      tree.for_each_child(
+          v, [&](std::uint32_t u) { slot_of_[base_[t] + u] = kWantsSlot; });
     }
   }
-  std::sort(order_.begin(), order_.end(),
-            [&](const NodeRef& x, const NodeRef& y) {
-              std::uint32_t dx = forest_[x.tree].depth(x.node);
-              std::uint32_t dy = forest_[y.tree].depth(y.node);
-              if (dx != dy) return dx > dy;
-              if (x.tree != y.tree) return x.tree < y.tree;
-              return x.node > y.node;
-            });
-  lsets_.resize(forest_.size());
+  // Counting sort: depth buckets laid out deepest first, each filled by
+  // trees ascending and, inside a tree, nodes descending.
+  std::size_t next = 0;
+  for (std::size_t i = at_depth.size(); i-- > 0;) {
+    const std::size_t n = at_depth[i];
+    at_depth[i] = next;
+    next += n;
+  }
+  order_.resize(next);
+  for (std::uint32_t t = 0; t < forest_.size(); ++t) {
+    const gst::Tree& tree = forest_[t];
+    for (std::uint32_t v = tree.size(); v-- > 0;) {
+      const std::uint32_t d = tree.depth(v);
+      if (d >= psi_) order_[at_depth[d - psi_]++] = {t, v};
+    }
+  }
   mark_.assign(ests_.num_strings(), 0);
-}
-
-NodeLsets& PairGenerator::lsets_of(std::uint32_t tree_idx,
-                                   std::uint32_t node) {
-  auto& per_tree = lsets_[tree_idx];
-  if (per_tree.empty()) per_tree.resize(forest_[tree_idx].size());
-  return per_tree[node];
 }
 
 void PairGenerator::release_lsets(NodeLsets& lsets) {
@@ -86,22 +95,27 @@ std::size_t PairGenerator::next_batch(std::size_t max_pairs,
 void PairGenerator::process_next_node() {
   const NodeRef ref = order_[next_node_++];
   const gst::Tree& t = forest_[ref.tree];
-  NodeLsets& lsets = lsets_of(ref.tree, ref.node);
+  NodeLsets lsets{};
   if (t.is_leaf(ref.node)) {
     process_leaf(t, ref.node, lsets);
   } else {
-    process_internal(t, ref.tree, ref.node, lsets);
+    process_internal(t, base_[ref.tree], ref.node, lsets);
   }
   ++stats_.nodes_processed;
-  // Surviving lsets are only needed by ancestors of depth >= psi. Nodes
-  // whose parents lie below psi (or bucket roots) keep theirs until the
-  // tree's last ordered node completes, at which point the whole tree's
-  // lset storage is retired. This bounds live cells by the occurrence
-  // count of the trees still in flight — linear in input size.
-  if (--remaining_[ref.tree] == 0) {
-    for (auto& node_lsets : lsets_[ref.tree]) release_lsets(node_lsets);
-    lsets_[ref.tree].clear();
-    lsets_[ref.tree].shrink_to_fit();
+  // Only a parent of depth >= psi will read these lsets again; for a
+  // bucket root or a node under a shallower parent they end here.
+  std::uint32_t& slot = slot_of_[base_[ref.tree] + ref.node];
+  if (slot == kNoSlot) {
+    release_lsets(lsets);
+    return;
+  }
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(lsets);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = lsets;
   }
 }
 
@@ -132,19 +146,22 @@ void PairGenerator::process_leaf(const gst::Tree& t, std::uint32_t v,
   self_product(lsets[bio::kLambdaCode], len);
 }
 
-void PairGenerator::process_internal(const gst::Tree& t,
-                                     std::uint32_t tree_idx, std::uint32_t v,
-                                     NodeLsets& lsets) {
+void PairGenerator::process_internal(const gst::Tree& t, std::uint32_t base,
+                                     std::uint32_t v, NodeLsets& lsets) {
+  // Every child has depth >= depth(v) >= psi and precedes v in order_, so
+  // each one already holds a slot.
+  child_slots_.clear();
+  t.for_each_child(v, [&](std::uint32_t u) {
+    ESTCLUST_DCHECK(slot_of_[base + u] < kWantsSlot);
+    child_slots_.push_back(slot_of_[base + u]);
+  });
+
   // Step 1: eliminate duplicate strings across the children's lsets. Each
   // string keeps exactly one (child, class) occurrence — the first in
   // child-then-class order.
   const std::uint64_t token = ++token_;
-  std::vector<std::uint32_t> children;
-  t.for_each_child(v, [&](std::uint32_t u) { children.push_back(u); });
-
-  for (std::uint32_t u : children) {
-    NodeLsets& child = lsets_of(tree_idx, u);
-    for (auto& set : child) {
+  for (std::uint32_t s : child_slots_) {
+    for (auto& set : slots_[s]) {
       stats_.lset_work += set.size;
       work_since_take_ += set.size;
       pool_.remove_if(set, [&](const LsetEntry& e) {
@@ -157,10 +174,10 @@ void PairGenerator::process_internal(const gst::Tree& t,
 
   // Step 2: cross-child cartesian products with c1 != c2 or c1 = c2 = λ.
   const std::uint32_t len = t.depth(v);
-  for (std::size_t k = 0; k < children.size(); ++k) {
-    NodeLsets& lk = lsets_of(tree_idx, children[k]);
-    for (std::size_t l = k + 1; l < children.size(); ++l) {
-      NodeLsets& ll = lsets_of(tree_idx, children[l]);
+  for (std::size_t k = 0; k < child_slots_.size(); ++k) {
+    const NodeLsets& lk = slots_[child_slots_[k]];
+    for (std::size_t l = k + 1; l < child_slots_.size(); ++l) {
+      const NodeLsets& ll = slots_[child_slots_[l]];
       for (int c1 = 0; c1 < bio::kNumLsetCodes; ++c1) {
         for (int c2 = 0; c2 < bio::kNumLsetCodes; ++c2) {
           if (c1 == c2 && c1 != bio::kLambdaCode) continue;
@@ -172,13 +189,13 @@ void PairGenerator::process_internal(const gst::Tree& t,
   }
 
   // Step 3: union the children's lsets class-wise onto v (O(|Σ|²) splices)
-  // and retire the children's storage.
-  for (std::uint32_t u : children) {
-    NodeLsets& child = lsets_of(tree_idx, u);
+  // and return their slots.
+  for (std::uint32_t s : child_slots_) {
     for (int c = 0; c < bio::kNumLsetCodes; ++c) {
       pool_.concat(lsets[static_cast<std::size_t>(c)],
-                   child[static_cast<std::size_t>(c)]);
+                   slots_[s][static_cast<std::size_t>(c)]);
     }
+    free_slots_.push_back(s);
   }
 }
 

@@ -13,7 +13,15 @@
 // Pairs therefore stream out in decreasing order of maximal common
 // substring length with respect to this forest (the paper accepts per-rank
 // rather than global order). The generator remembers its position between
-// calls, so pairs are produced on demand at no extra storage cost.
+// calls, so pairs are produced on demand.
+//
+// Storage: a processed node's lsets are kept only while its parent, which
+// must have depth >= psi to ever be processed, still needs them; they sit
+// in a pool slot the parent returns as it takes the union. Every other
+// node (bucket roots, nodes under a shallower parent) releases its cells
+// once its own products are out. Between batches the live cells are
+// therefore bounded by the occurrences of leaves whose parent has depth
+// >= psi.
 #pragma once
 
 #include <cstdint>
@@ -50,8 +58,9 @@ class PairGenerator final : public PairSource {
   std::uint64_t take_work_units() override;
 
   /// Node sorting over the borrowed forest (Table 3's "Sorting Nodes"
-  /// column): k·(1 + ⌊log2(k+1)⌋) for k forest nodes — the formula the
-  /// pace drivers have always charged for this backend.
+  /// column): k·(1 + ⌊log2(k+1)⌋) for k forest nodes — the comparison
+  /// sort the pace drivers have always charged for this backend, kept
+  /// although the constructor orders the nodes with a counting sort.
   std::uint64_t construction_sort_units() const override;
 
   /// The candidate index here is the borrowed forest itself.
@@ -68,28 +77,33 @@ class PairGenerator final : public PairSource {
 
   void process_next_node();
   void process_leaf(const gst::Tree& t, std::uint32_t v, NodeLsets& lsets);
-  void process_internal(const gst::Tree& t, std::uint32_t tree_idx,
+  void process_internal(const gst::Tree& t, std::uint32_t base,
                         std::uint32_t v, NodeLsets& lsets);
   void emit(const LsetEntry& e1, const LsetEntry& e2, std::uint32_t len);
   void cross_product(const Lset& s1, const Lset& s2, std::uint32_t len);
   void self_product(const Lset& s, std::uint32_t len);
-
-  NodeLsets& lsets_of(std::uint32_t tree_idx, std::uint32_t node);
   void release_lsets(NodeLsets& lsets);
 
   const bio::EstSet& ests_;
   const std::vector<gst::Tree>& forest_;
   std::uint32_t psi_;
 
-  std::vector<NodeRef> order_;   ///< nodes with depth >= psi, sorted
-  std::size_t next_node_ = 0;    ///< cursor into order_
-  std::vector<std::uint32_t> remaining_;  ///< unprocessed nodes per tree
+  // Nodes of depth >= psi, deepest first; equal depths by tree ascending,
+  // then node descending, so a $-leaf precedes the parent it ties.
+  std::vector<NodeRef> order_;
+  std::size_t next_node_ = 0;  ///< cursor into order_
 
   LsetPool pool_;
-  // Dense lset storage per tree, allocated lazily per tree: lsets_[t] has
-  // one NodeLsets per node of tree t (order_ touches only depth >= psi
-  // nodes, but children of processed nodes also live here).
-  std::vector<std::vector<NodeLsets>> lsets_;
+  // Node v of tree t has global id base_[t] + v. slot_of_[id] is the slot
+  // holding its lsets once processed, kWantsSlot before that if its parent
+  // has depth >= psi, and kNoSlot if it never keeps lsets.
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  static constexpr std::uint32_t kWantsSlot = UINT32_MAX - 1;
+  std::vector<std::uint32_t> base_;
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<NodeLsets> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<std::uint32_t> child_slots_;  ///< scratch for process_internal
 
   // Duplicate-elimination mark array: mark_[sid] == token when sid was
   // already seen at the internal node currently being processed.
