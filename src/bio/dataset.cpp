@@ -13,6 +13,13 @@ EstSet::EstSet(std::vector<Sequence> ests) : ests_(std::move(ests)) {
     total_chars_ += e.bases.size();
     rc_.push_back(reverse_complement(e.bases));
   }
+  packed_words_.reserve(num_strings() + total_string_chars() / 32 + 1);
+  packed_.reserve(num_strings());
+  for (StringId sid = 0; sid < num_strings(); ++sid) {
+    packed_.push_back({packed_words_.size(), str(sid).size()});
+    append_2bit(str(sid), packed_words_);
+  }
+  packed_words_.push_back(0);  // word_at's read past the last string
 }
 
 double EstSet::average_length() const {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bio/sequence.hpp"
+#include "util/check.hpp"
 
 namespace estclust::bio {
 
@@ -41,6 +42,15 @@ class EstSet {
   /// The string s_sid: forward EST for even sid, reverse complement for odd.
   std::string_view str(StringId sid) const;
 
+  /// s_sid as 2-bit codes. Every string starts on a word boundary and a
+  /// zero word follows the last one, so PackedView::word_at is valid at
+  /// every position of every string.
+  PackedView packed(StringId sid) const {
+    ESTCLUST_DCHECK(sid < num_strings());
+    return PackedView(packed_words_.data() + packed_[sid].word,
+                      packed_[sid].size);
+  }
+
   /// EST that string sid derives from.
   static EstId est_of(StringId sid) { return sid / 2; }
 
@@ -57,6 +67,15 @@ class EstSet {
   std::vector<Sequence> ests_;
   std::vector<std::string> rc_;  // rc_[i] = reverse complement of est i
   std::size_t total_chars_ = 0;
+
+  // One 2-bit copy of all 2n strings, read by the GST build (a word at a
+  // time) and the pair walk; packed_[sid] locates s_sid in it.
+  struct PackedRef {
+    std::size_t word = 0;
+    std::size_t size = 0;
+  };
+  std::vector<std::uint64_t> packed_words_;
+  std::vector<PackedRef> packed_;
 };
 
 }  // namespace estclust::bio

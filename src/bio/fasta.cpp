@@ -14,8 +14,12 @@ std::vector<Sequence> read_fasta(std::istream& in) {
   std::string line;
   Sequence current;
   bool have_record = false;
+  std::size_t header_line = 0;
   auto flush = [&] {
     if (have_record) {
+      ESTCLUST_CHECK_MSG(!current.bases.empty(),
+                         "FASTA: record '" << current.id << "' at line "
+                                           << header_line << " has no bases");
       current.bases.shrink_to_fit();  // drop the line-by-line growth slack
       out.push_back(std::move(current));
       current = Sequence{};
@@ -29,6 +33,7 @@ std::vector<Sequence> read_fasta(std::istream& in) {
     if (line[0] == '>') {
       flush();
       have_record = true;
+      header_line = lineno;
       // Header is everything after '>' up to the first whitespace.
       std::size_t end = line.find_first_of(" \t", 1);
       current.id = line.substr(1, end == std::string::npos ? end : end - 1);

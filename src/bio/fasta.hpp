@@ -11,8 +11,9 @@ namespace estclust::bio {
 
 /// Parses FASTA records from a stream. Multi-line sequences are joined;
 /// bases are uppercased and validated. Throws CheckError on malformed input
-/// (sequence data before the first header, or invalid characters); the
-/// message names the input line, and the record id for an invalid base.
+/// (sequence data before the first header, invalid characters, or a record
+/// with no bases); the message names the input line, and the record id for
+/// an invalid base or an empty record.
 std::vector<Sequence> read_fasta(std::istream& in);
 
 /// Reads a FASTA file from disk. Throws CheckError if the file can't open.

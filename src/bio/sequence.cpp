@@ -66,12 +66,19 @@ void PackedView::unpack_codes(std::uint8_t* dst) const {
 }
 
 PackedView pack_2bit(std::string_view bases, std::vector<std::uint64_t>& words) {
-  words.resize((bases.size() + 31) / 32);
+  words.clear();
+  append_2bit(bases, words);
+  return PackedView(words.data(), bases.size());
+}
+
+void append_2bit(std::string_view bases, std::vector<std::uint64_t>& words) {
+  const std::size_t first = words.size();
+  words.resize(first + (bases.size() + 31) / 32);
   // Accumulate each word in a register and store it once: the obvious
   // `words[i / 32] |= ...` form re-reads and re-writes the vector element
   // per base, which shows up on the SIMD kernels' per-alignment setup.
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    const std::size_t base = w * 32;
+  for (std::size_t w = first; w < words.size(); ++w) {
+    const std::size_t base = (w - first) * 32;
     const std::size_t count = std::min<std::size_t>(32, bases.size() - base);
     std::uint64_t acc = 0;
     for (std::size_t l = 0; l < count; ++l) {
@@ -81,7 +88,6 @@ PackedView pack_2bit(std::string_view bases, std::vector<std::uint64_t>& words) 
     }
     words[w] = acc;
   }
-  return PackedView(words.data(), bases.size());
 }
 
 PackedSeq::PackedSeq(std::string_view bases) : size_(bases.size()) {

@@ -39,6 +39,17 @@ class PackedView {
     return static_cast<int>((words_[i / 32] >> ((i % 32) * 2)) & 3);
   }
 
+  /// The 32 codes starting at position i < size(), base i in the low two
+  /// bits. Codes past size() are unspecified. Reads the word after i's, so
+  /// a readable word must follow the view's last one (EstSet::packed
+  /// guarantees it).
+  std::uint64_t word_at(std::size_t i) const {
+    const std::size_t k = i / 32;
+    const unsigned shift = static_cast<unsigned>(i % 32) * 2;
+    // The split shift keeps shift == 0 defined: the high word drops out.
+    return (words_[k] >> shift) | ((words_[k + 1] << 1) << (63 - shift));
+  }
+
   /// Expands the 2-bit codes into one byte per base (values 0..3).
   /// `dst` must have room for size() bytes.
   void unpack_codes(std::uint8_t* dst) const;
@@ -53,6 +64,9 @@ class PackedView {
 /// allocation per arena instead of constructing a PackedSeq per call.
 /// Returns a view over the packed contents (valid until `words` mutates).
 PackedView pack_2bit(std::string_view bases, std::vector<std::uint64_t>& words);
+
+/// Appends the 2-bit words of `bases` to `words`, starting a fresh word.
+void append_2bit(std::string_view bases, std::vector<std::uint64_t>& words);
 
 /// Space-efficient 2-bit/base storage. Used by the GST layer's space
 /// accounting and by tests that check the O(N) memory contract.

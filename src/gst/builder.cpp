@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <span>
 
 #include "bio/alphabet.hpp"
 #include "util/check.hpp"
@@ -43,81 +45,104 @@ void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
 
 namespace {
 
-/// Recursive refinement of one suffix group that shares its first `d`
-/// characters. Emits the group's subtree into `tree` in DFS order.
+/// Recursive refinement of one bucket, in place. `tree.occs` holds the
+/// bucket's suffixes; each split stably partitions a group's subrange by
+/// its next character, so the array ends leaf-contiguous in DFS order and
+/// every leaf owns a [begin, end) range of it.
 class BucketRefiner {
  public:
   BucketRefiner(const bio::EstSet& ests, Tree& tree, BuildCounters& counters)
-      : ests_(ests), tree_(tree), counters_(counters) {}
+      : ests_(ests),
+        tree_(tree),
+        counters_(counters),
+        scratch_(tree.occs.size()),
+        class_(tree.occs.size()) {}
 
-  void build(std::vector<SuffixOcc>& group, std::uint32_t d) {
-    ESTCLUST_DCHECK(!group.empty());
+  /// Refines occs[begin, end), a group sharing its first `d` characters,
+  /// and emits its subtree into `tree` in DFS order.
+  void build(std::uint32_t begin, std::uint32_t end, std::uint32_t d) {
+    ESTCLUST_DCHECK(begin < end);
+    const std::span<SuffixOcc> group(tree_.occs.data() + begin, end - begin);
     if (group.size() == 1) {
-      emit_singleton_leaf(group[0]);
+      emit_leaf(begin, end,
+                static_cast<std::uint32_t>(
+                    ests_.packed(group[0].sid).size() - group[0].pos));
       return;
     }
 
     // Extend the edge (compaction) while all suffixes continue with the
-    // same character. Each pass scans the group once.
-    std::array<std::uint32_t, bio::kSigma> class_size{};
-    std::uint32_t exhausted = 0;
+    // same character, up to 32 of them per step. Each depth passed is
+    // charged as one scan of the group.
     for (;;) {
-      class_size.fill(0);
-      exhausted = 0;
-      for (const SuffixOcc& occ : group) {
-        auto s = ests_.str(occ.sid);
-        if (occ.pos + d == s.size()) {
-          ++exhausted;
-        } else {
-          ++class_size[static_cast<std::size_t>(
-              bio::encode_base(s[occ.pos + d]))];
-        }
-      }
-      counters_.chars_scanned += group.size();
-      int nonempty = 0;
-      for (auto c : class_size) nonempty += (c > 0);
-      if (exhausted == 0 && nonempty == 1) {
-        ++d;  // unary extension: no node here
-        continue;
-      }
-      if (nonempty == 0) {
-        // All suffixes end at depth d: identical strings -> one leaf.
-        emit_coalesced_leaf(group, d);
-        return;
-      }
-      break;  // group branches at depth d
+      const std::uint32_t run = shared_run(group, d);
+      d += run;
+      counters_.chars_scanned += group.size() * run;
+      if (run < 32) break;
+    }
+
+    // One character pass at depth d sorts the group into $ (the suffixes
+    // ending here) and A, C, G, T.
+    std::array<std::uint32_t, 1 + bio::kSigma> class_size{};
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      const bio::PackedView s = ests_.packed(group[k].sid);
+      const std::size_t at = group[k].pos + d;
+      class_[k] = at == s.size()
+                      ? 0
+                      : static_cast<std::uint8_t>(1 + s.code_at(at));
+      ++class_size[class_[k]];
+    }
+    counters_.chars_scanned += group.size();
+    if (class_size[0] == group.size()) {
+      // All suffixes end at depth d: identical strings -> one leaf.
+      emit_leaf(begin, end, d);
+      return;
     }
 
     // Internal node at depth d. Children in canonical order: the $-leaf of
     // exhausted suffixes first, then the A, C, G, T classes.
     const std::uint32_t v = new_node(d);
-    std::array<std::vector<SuffixOcc>, bio::kSigma> classes;
-    std::vector<SuffixOcc> done;
-    done.reserve(exhausted);
-    for (int c = 0; c < bio::kSigma; ++c)
-      classes[static_cast<std::size_t>(c)].reserve(
-          class_size[static_cast<std::size_t>(c)]);
-    for (const SuffixOcc& occ : group) {
-      auto s = ests_.str(occ.sid);
-      if (occ.pos + d == s.size()) {
-        done.push_back(occ);
-      } else {
-        classes[static_cast<std::size_t>(bio::encode_base(s[occ.pos + d]))]
-            .push_back(occ);
-      }
+    std::array<std::uint32_t, 1 + bio::kSigma> next{};
+    for (std::size_t c = 1; c < next.size(); ++c) {
+      next[c] = next[c - 1] + class_size[c - 1];
     }
-    group.clear();
-    group.shrink_to_fit();
+    for (std::size_t k = 0; k < group.size(); ++k) {
+      scratch_[next[class_[k]]++] = group[k];
+    }
+    std::copy_n(scratch_.begin(), group.size(), group.begin());
 
-    if (!done.empty()) emit_coalesced_leaf(done, d);
-    for (auto& cls : classes) {
-      if (!cls.empty()) build(cls, d + 1);
+    std::uint32_t child = begin;
+    if (class_size[0] > 0) emit_leaf(child, child + class_size[0], d);
+    child += class_size[0];
+    for (std::size_t c = 1; c < class_size.size(); ++c) {
+      if (class_size[c] > 0) build(child, child + class_size[c], d + 1);
+      child += class_size[c];
     }
     tree_.nodes[v].rightmost =
         static_cast<std::uint32_t>(tree_.nodes.size()) - 1;
   }
 
  private:
+  /// Length of the run every suffix of `group` shares from depth d on,
+  /// capped by each one's remaining length and at 32.
+  std::uint32_t shared_run(std::span<const SuffixOcc> group,
+                           std::uint32_t d) const {
+    const bio::PackedView first = ests_.packed(group[0].sid);
+    std::size_t run =
+        std::min<std::size_t>(32, first.size() - group[0].pos - d);
+    if (run == 0) return 0;
+    const std::uint64_t ref = first.word_at(group[0].pos + d);
+    for (std::size_t k = 1; k < group.size(); ++k) {
+      const bio::PackedView s = ests_.packed(group[k].sid);
+      run = std::min<std::size_t>(run, s.size() - group[k].pos - d);
+      if (run == 0) return 0;
+      // countr_zero(0) is 64: equal words leave run as it is.
+      const std::uint64_t diff = ref ^ s.word_at(group[k].pos + d);
+      run = std::min<std::size_t>(run, std::countr_zero(diff) / 2);
+      if (run == 0) return 0;
+    }
+    return static_cast<std::uint32_t>(run);
+  }
+
   std::uint32_t new_node(std::uint32_t depth) {
     Node n;
     n.depth = depth;
@@ -126,28 +151,18 @@ class BucketRefiner {
     return static_cast<std::uint32_t>(tree_.nodes.size()) - 1;
   }
 
-  void emit_singleton_leaf(const SuffixOcc& occ) {
-    auto s = ests_.str(occ.sid);
-    const std::uint32_t v = new_node(
-        static_cast<std::uint32_t>(s.size() - occ.pos));
+  void emit_leaf(std::uint32_t begin, std::uint32_t end, std::uint32_t depth) {
+    const std::uint32_t v = new_node(depth);
     tree_.nodes[v].rightmost = v;
-    tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
-    tree_.occs.push_back(occ);
-    tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
-  }
-
-  void emit_coalesced_leaf(const std::vector<SuffixOcc>& group,
-                           std::uint32_t d) {
-    const std::uint32_t v = new_node(d);
-    tree_.nodes[v].rightmost = v;
-    tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
-    tree_.occs.insert(tree_.occs.end(), group.begin(), group.end());
-    tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
+    tree_.nodes[v].occ_begin = begin;
+    tree_.nodes[v].occ_end = end;
   }
 
   const bio::EstSet& ests_;
   Tree& tree_;
   BuildCounters& counters_;
+  std::vector<SuffixOcc> scratch_;   // partition buffer
+  std::vector<std::uint8_t> class_;  // class of group[k] at the branch depth
 };
 
 }  // namespace
@@ -168,11 +183,11 @@ Tree build_bucket_tree(const bio::EstSet& ests,
   tree.bucket_id = bucket_id;
   tree.prefix_depth = w;
   tree.nodes.reserve(2 * suffixes.size());
-  tree.occs.reserve(suffixes.size());
-  BucketRefiner refiner(ests, tree, counters);
-  refiner.build(suffixes, w);
-  tree.nodes.shrink_to_fit();
+  tree.occs = std::move(suffixes);
   tree.occs.shrink_to_fit();
+  BucketRefiner refiner(ests, tree, counters);
+  refiner.build(0, static_cast<std::uint32_t>(tree.occs.size()), w);
+  tree.nodes.shrink_to_fit();
   return tree;
 }
 

@@ -6,6 +6,16 @@
 // recursively until every suffix group is a leaf. Run-time is O(sum of
 // pairwise-distinguishing prefixes), O(N·l / p) per rank in the worst case,
 // which works well because the average EST length l is a constant.
+//
+// The host does the same refinement a word at a time. While a group shares
+// its next characters, it compares 32 bases per step over EstSet's 2-bit
+// copy (XOR against the group's first suffix, count trailing zeros); one
+// character pass at the branch depth then sorts the group into $, A, C, G
+// and T. Each split is a stable counting partition of the group's subrange
+// of the bucket's (sid, pos)-sorted array, which ends as the tree's
+// leaf-contiguous occurrence array. BuildCounters::chars_scanned still
+// counts the group size for every depth passed, as one character pass per
+// depth would: the virtual clock charges the paper's algorithm.
 #pragma once
 
 #include <cstdint>

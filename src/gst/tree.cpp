@@ -94,7 +94,7 @@ void Tree::validate(const bio::EstSet& ests) const {
 
 int left_extension_code(const bio::EstSet& ests, const SuffixOcc& occ) {
   if (occ.pos == 0) return bio::kLambdaCode;
-  return bio::encode_base(ests.str(occ.sid)[occ.pos - 1]);
+  return ests.packed(occ.sid).code_at(occ.pos - 1);
 }
 
 }  // namespace estclust::gst

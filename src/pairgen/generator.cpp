@@ -1,7 +1,9 @@
 #include "pairgen/generator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -13,6 +15,13 @@ namespace {
 // class exactly once.
 constexpr int kClassOrder[bio::kNumLsetCodes] = {
     /*A*/ 1, /*C*/ 2, /*G*/ 3, /*T*/ 4, /*λ*/ 0};
+
+// Prefetch distances along order_, in nodes. Consecutive nodes of one
+// depth lie in different trees, so each node costs a chain of cache
+// misses; the far distance fetches the node record and its slot entry,
+// the near one reads that record and fetches what it points to.
+constexpr std::size_t kPrefetchRecord = 24;
+constexpr std::size_t kPrefetchTargets = 12;
 }  // namespace
 
 PairGenerator::PairGenerator(const bio::EstSet& ests,
@@ -82,6 +91,7 @@ std::uint64_t PairGenerator::take_work_units() {
 std::size_t PairGenerator::next_batch(std::size_t max_pairs,
                                       std::vector<PromisingPair>& out) {
   while (buffer_.size() < max_pairs && next_node_ < order_.size()) {
+    prefetch_ahead();
     process_next_node();
   }
   std::size_t count = std::min(max_pairs, buffer_.size());
@@ -92,19 +102,37 @@ std::size_t PairGenerator::next_batch(std::size_t max_pairs,
   return count;
 }
 
+void PairGenerator::prefetch_ahead() const {
+  if (next_node_ + kPrefetchRecord < order_.size()) {
+    const NodeRef far = order_[next_node_ + kPrefetchRecord];
+    __builtin_prefetch(&forest_[far.tree].nodes[far.node]);
+    __builtin_prefetch(&slot_of_[base_[far.tree] + far.node]);
+  }
+  if (next_node_ + kPrefetchTargets < order_.size()) {
+    const NodeRef near = order_[next_node_ + kPrefetchTargets];
+    const gst::Tree& t = forest_[near.tree];
+    if (t.is_leaf(near.node)) {
+      __builtin_prefetch(&t.occs[t.nodes[near.node].occ_begin]);
+    } else {
+      __builtin_prefetch(&t.nodes[near.node + 1]);
+      __builtin_prefetch(&slot_of_[base_[near.tree] + near.node + 1]);
+    }
+  }
+}
+
 void PairGenerator::process_next_node() {
   const NodeRef ref = order_[next_node_++];
   const gst::Tree& t = forest_[ref.tree];
+  // Only a parent of depth >= psi will read these lsets again; for a
+  // bucket root or a node under a shallower parent they end here.
+  std::uint32_t& slot = slot_of_[base_[ref.tree] + ref.node];
   NodeLsets lsets{};
   if (t.is_leaf(ref.node)) {
-    process_leaf(t, ref.node, lsets);
+    process_leaf(t, ref.node, slot != kNoSlot, lsets);
   } else {
     process_internal(t, base_[ref.tree], ref.node, lsets);
   }
   ++stats_.nodes_processed;
-  // Only a parent of depth >= psi will read these lsets again; for a
-  // bucket root or a node under a shallower parent they end here.
-  std::uint32_t& slot = slot_of_[base_[ref.tree] + ref.node];
   if (slot == kNoSlot) {
     release_lsets(lsets);
     return;
@@ -120,16 +148,21 @@ void PairGenerator::process_next_node() {
 }
 
 void PairGenerator::process_leaf(const gst::Tree& t, std::uint32_t v,
-                                 NodeLsets& lsets) {
+                                 bool kept, NodeLsets& lsets) {
   // lsets come straight from the leaf's occurrence labels. A string appears
   // at most once per leaf (two suffixes of one string are never equal), so
   // no duplicate elimination is needed here.
-  for (const auto& occ : t.occurrences(v)) {
+  const std::span<const gst::SuffixOcc> occs = t.occurrences(v);
+  work_since_take_ += occs.size();
+  stats_.lset_work += occs.size();
+  // A lone occurrence pairs with nothing, so its lsets matter only to a
+  // parent that keeps them.
+  if (occs.size() == 1 && !kept) return;
+  for (const auto& occ : occs) {
     int c = gst::left_extension_code(ests_, occ);
     pool_.push(lsets[static_cast<std::size_t>(c)], {occ.sid, occ.pos});
-    ++work_since_take_;
-    ++stats_.lset_work;
   }
+  if (occs.size() == 1) return;
   const std::uint32_t len = t.depth(v);
   // Pairs across classes (c1 < c2) and within λ.
   for (int c1 = 0; c1 < bio::kNumLsetCodes; ++c1) {
@@ -158,10 +191,14 @@ void PairGenerator::process_internal(const gst::Tree& t, std::uint32_t base,
 
   // Step 1: eliminate duplicate strings across the children's lsets. Each
   // string keeps exactly one (child, class) occurrence — the first in
-  // child-then-class order.
+  // child-then-class order. Bit c of child_classes_[k] records that child
+  // k's class c is still non-empty afterwards.
   const std::uint64_t token = ++token_;
+  child_classes_.clear();
   for (std::uint32_t s : child_slots_) {
-    for (auto& set : slots_[s]) {
+    std::uint32_t classes = 0;
+    for (int c = 0; c < bio::kNumLsetCodes; ++c) {
+      Lset& set = slots_[s][static_cast<std::size_t>(c)];
       stats_.lset_work += set.size;
       work_since_take_ += set.size;
       pool_.remove_if(set, [&](const LsetEntry& e) {
@@ -169,17 +206,22 @@ void PairGenerator::process_internal(const gst::Tree& t, std::uint32_t base,
         mark_[e.sid] = token;
         return false;
       });
+      if (!set.empty()) classes |= 1u << c;
     }
+    child_classes_.push_back(classes);
   }
 
-  // Step 2: cross-child cartesian products with c1 != c2 or c1 = c2 = λ.
+  // Step 2: cross-child cartesian products with c1 != c2 or c1 = c2 = λ,
+  // visiting only non-empty classes, in ascending (k, l, c1, c2) order.
   const std::uint32_t len = t.depth(v);
   for (std::size_t k = 0; k < child_slots_.size(); ++k) {
     const NodeLsets& lk = slots_[child_slots_[k]];
     for (std::size_t l = k + 1; l < child_slots_.size(); ++l) {
       const NodeLsets& ll = slots_[child_slots_[l]];
-      for (int c1 = 0; c1 < bio::kNumLsetCodes; ++c1) {
-        for (int c2 = 0; c2 < bio::kNumLsetCodes; ++c2) {
+      for (std::uint32_t m1 = child_classes_[k]; m1 != 0; m1 &= m1 - 1) {
+        const int c1 = std::countr_zero(m1);
+        for (std::uint32_t m2 = child_classes_[l]; m2 != 0; m2 &= m2 - 1) {
+          const int c2 = std::countr_zero(m2);
           if (c1 == c2 && c1 != bio::kLambdaCode) continue;
           cross_product(lk[static_cast<std::size_t>(c1)],
                         ll[static_cast<std::size_t>(c2)], len);

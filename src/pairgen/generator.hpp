@@ -75,8 +75,10 @@ class PairGenerator final : public PairSource {
     std::uint32_t node = 0;
   };
 
+  void prefetch_ahead() const;
   void process_next_node();
-  void process_leaf(const gst::Tree& t, std::uint32_t v, NodeLsets& lsets);
+  void process_leaf(const gst::Tree& t, std::uint32_t v, bool kept,
+                    NodeLsets& lsets);
   void process_internal(const gst::Tree& t, std::uint32_t base,
                         std::uint32_t v, NodeLsets& lsets);
   void emit(const LsetEntry& e1, const LsetEntry& e2, std::uint32_t len);
@@ -103,7 +105,8 @@ class PairGenerator final : public PairSource {
   std::vector<std::uint32_t> slot_of_;
   std::vector<NodeLsets> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> child_slots_;  ///< scratch for process_internal
+  std::vector<std::uint32_t> child_slots_;    ///< scratch for process_internal
+  std::vector<std::uint32_t> child_classes_;  ///< scratch for process_internal
 
   // Duplicate-elimination mark array: mark_[sid] == token when sid was
   // already seen at the internal node currently being processed.

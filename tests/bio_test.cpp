@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -173,6 +174,58 @@ TEST(PackedSeq, ViewAgreesWithPerBaseAccess) {
   }
 }
 
+TEST(PackedView, WordAtMatchesPerBaseCodes) {
+  // word_at(i) holds the codes from i on, base i lowest; only the first
+  // min(32, size - i) of them are specified.
+  Prng rng(8);
+  std::vector<std::uint64_t> words;
+  for (std::size_t len : {std::size_t{1}, std::size_t{31}, std::size_t{32},
+                          std::size_t{33}, std::size_t{63}, std::size_t{64},
+                          std::size_t{65}, std::size_t{400}}) {
+    const std::string s = random_dna(rng, len);
+    pack_2bit(s, words);
+    words.push_back(0);  // the readable word word_at requires
+    const PackedView v(words.data(), s.size());
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::size_t n = std::min<std::size_t>(32, len - i);
+      std::uint64_t expected = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        expected |= static_cast<std::uint64_t>(v.code_at(i + k)) << (2 * k);
+      }
+      const std::uint64_t mask = n == 32 ? ~0ULL : (1ULL << (2 * n)) - 1;
+      ASSERT_EQ(v.word_at(i) & mask, expected) << "len " << len << " pos " << i;
+    }
+  }
+}
+
+TEST(EstSet, PackedCopyMatchesStrings) {
+  // Forward and reverse-complement strings of awkward lengths; the last
+  // string's last word_at reads reach the pad word.
+  Prng rng(9);
+  std::vector<Sequence> seqs;
+  for (std::size_t len : {std::size_t{1}, std::size_t{32}, std::size_t{33},
+                          std::size_t{70}, std::size_t{64}}) {
+    seqs.push_back({"e" + std::to_string(len), random_dna(rng, len)});
+  }
+  const EstSet set(std::move(seqs));
+  for (StringId sid = 0; sid < set.num_strings(); ++sid) {
+    const std::string_view s = set.str(sid);
+    const PackedView v = set.packed(sid);
+    ASSERT_EQ(v.size(), s.size()) << "sid " << sid;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      const std::size_t n = std::min<std::size_t>(32, s.size() - i);
+      std::uint64_t expected = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        expected |= static_cast<std::uint64_t>(encode_base(s[i + k]))
+                    << (2 * k);
+      }
+      const std::uint64_t mask = n == 32 ? ~0ULL : (1ULL << (2 * n)) - 1;
+      ASSERT_EQ(v.word_at(i) & mask, expected)
+          << "sid " << sid << " pos " << i;
+    }
+  }
+}
+
 TEST(Fasta, ParsesMultiRecordInput) {
   std::istringstream in(">e1 desc ignored\nACGT\nACGT\n>e2\nTTTT\n");
   auto seqs = read_fasta(in);
@@ -210,6 +263,18 @@ TEST(Fasta, RejectsInvalidBases) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("'est_17'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("line 5"), std::string::npos) << msg;
+  }
+}
+
+TEST(Fasta, RejectsEmptyRecord) {
+  std::istringstream in(">a\nACGT\n>est_9 clone\n\n>b\nACGT\n");
+  try {
+    read_fasta(in);
+    FAIL() << "a record without bases was accepted";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'est_9'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
   }
 }
 

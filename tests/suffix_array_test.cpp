@@ -3,9 +3,14 @@
 #include <map>
 
 #include "bio/alphabet.hpp"
+#include "bio/fasta.hpp"
 #include "gst/builder.hpp"
 #include "gst/suffix_array.hpp"
 #include "util/prng.hpp"
+
+#ifndef ESTCLUST_TEST_DATA_DIR
+#error "ESTCLUST_TEST_DATA_DIR must be defined by the build"
+#endif
 
 namespace estclust::gst {
 namespace {
@@ -58,6 +63,45 @@ bool trees_equal(const Tree& a, const Tree& b) {
     if (!(a.occs[i] == b.occs[i])) return false;
   }
   return true;
+}
+
+/// The refinement's chars_scanned, derived from the finished forest. A
+/// group of two or more suffixes is scanned once per depth, from its start
+/// (w at a bucket root, the parent's depth + 1 below it) to the depth where
+/// it branches or ends. That is one internal node or one non-$ leaf; a
+/// $-leaf is part of its parent's group and a lone suffix is never scanned.
+std::uint64_t derived_chars_scanned(const std::vector<Tree>& forest) {
+  std::uint64_t sum = 0;
+  for (const Tree& t : forest) {
+    auto visit = [&](auto&& self, std::uint32_t v,
+                     std::uint32_t start) -> void {
+      const std::uint64_t occs = t.num_occurrences(v);
+      const bool dollar_leaf = t.depth(v) + 1 == start;
+      if (!t.is_leaf(v) || (occs >= 2 && !dollar_leaf)) {
+        sum += occs * (t.depth(v) - start + 1);
+      }
+      t.for_each_child(
+          v, [&](std::uint32_t u) { self(self, u, t.depth(v) + 1); });
+    };
+    visit(visit, 0, t.prefix_depth);
+  }
+  return sum;
+}
+
+/// Builds the forest both ways, requires identical trees and the counted
+/// chars_scanned to equal the derived one.
+void expect_matches_oracle(const EstSet& ests, std::uint32_t w) {
+  BuildCounters counters;
+  auto refinement = build_forest_sequential(ests, w, &counters);
+  auto from_sa =
+      forest_from_suffix_array(ests, build_suffix_array(ests, w), w);
+  ASSERT_EQ(refinement.size(), from_sa.size()) << "w=" << w;
+  for (std::size_t i = 0; i < refinement.size(); ++i) {
+    EXPECT_TRUE(trees_equal(refinement[i], from_sa[i]))
+        << "w=" << w << " bucket " << refinement[i].bucket_id;
+  }
+  EXPECT_EQ(counters.chars_scanned, derived_chars_scanned(refinement))
+      << "w=" << w;
 }
 
 TEST(SuffixArrayBuild, SortedAndComplete) {
@@ -126,15 +170,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SaCrossValidation,
 
 TEST(SaCrossValidationHeavy, OverlapRichInput) {
   Prng rng(7);
-  EstSet ests = overlapping_ests(rng, 20);
-  const std::uint32_t w = 4;
-  auto refinement = build_forest_sequential(ests, w);
-  auto from_sa = forest_from_suffix_array(ests, build_suffix_array(ests, w),
-                                          w);
-  ASSERT_EQ(refinement.size(), from_sa.size());
-  for (std::size_t i = 0; i < refinement.size(); ++i) {
-    EXPECT_TRUE(trees_equal(refinement[i], from_sa[i]));
-  }
+  expect_matches_oracle(overlapping_ests(rng, 20), 4);
 }
 
 TEST(SaCrossValidationHeavy, LowComplexityInput) {
@@ -143,14 +179,36 @@ TEST(SaCrossValidationHeavy, LowComplexityInput) {
                {"b", std::string(20, 'A') + std::string(20, 'C')},
                {"c", "ACACACACACACACACACAC"},
                {"d", "ACACACACACACACACACAC"}});
-  for (std::uint32_t w : {1u, 2u, 3u}) {
-    auto refinement = build_forest_sequential(ests, w);
-    auto from_sa = forest_from_suffix_array(
-        ests, build_suffix_array(ests, w), w);
-    ASSERT_EQ(refinement.size(), from_sa.size()) << "w=" << w;
-    for (std::size_t i = 0; i < refinement.size(); ++i) {
-      EXPECT_TRUE(trees_equal(refinement[i], from_sa[i])) << "w=" << w;
-    }
+  for (std::uint32_t w : {1u, 2u, 3u}) expect_matches_oracle(ests, w);
+}
+
+TEST(SaCrossValidationHeavy, MultiWordRuns) {
+  // Reads cut from one gene share runs of hundreds of bases, so unary
+  // extension spans several 32-base words and, over all groups, stops at
+  // every offset mod 32. The poly-A string's suffixes share runs up to
+  // their own ends, and the two identical strings end in one leaf.
+  Prng rng(11);
+  const std::string gene = random_dna(rng, 1000);
+  std::vector<Sequence> seqs;
+  for (int i = 0; i < 20; ++i) {
+    const std::size_t len = 150 + rng.uniform(251);
+    const std::size_t start = rng.uniform(gene.size() - len + 1);
+    seqs.push_back({"r" + std::to_string(i), gene.substr(start, len)});
+  }
+  seqs.push_back({"polyA", std::string(100, 'A')});
+  const std::string twin = random_dna(rng, 64);
+  seqs.push_back({"twin1", twin});
+  seqs.push_back({"twin2", twin});
+  const EstSet ests(std::move(seqs));
+  for (std::uint32_t w : {2u, 4u, 6u}) expect_matches_oracle(ests, w);
+}
+
+TEST(SaCrossValidationHeavy, GoldenFixturesChargeDerivedChars) {
+  for (const char* fixture : {"golden_small", "golden_noisy"}) {
+    SCOPED_TRACE(fixture);
+    const EstSet ests(bio::read_fasta_file(
+        std::string(ESTCLUST_TEST_DATA_DIR) + "/" + fixture + ".fasta"));
+    expect_matches_oracle(ests, 6);
   }
 }
 

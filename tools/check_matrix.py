@@ -72,6 +72,15 @@ REQUIRED_TESTS = (
     # The GST walk's exact record stream, tie order included; the cluster
     # goldens see that order only through union-find skips.
     "gst/PairGenerator.GoldenPairStream",
+    # The word-wise refinement against the suffix-array oracle, its
+    # chars_scanned charge against the count derived from the forest, and
+    # the packed copy it reads.
+    "SaCrossValidationHeavy.MultiWordRuns",
+    "SaCrossValidationHeavy.GoldenFixturesChargeDerivedChars",
+    "PackedView.WordAtMatchesPerBaseCodes",
+    "EstSet.PackedCopyMatchesStrings",
+    # An empty FASTA record is a named input error, not a library abort.
+    "Fasta.RejectsEmptyRecord",
     "bench_smoke_gst",
     "bench_smoke_kmer",
     "bench_smoke_fm",
