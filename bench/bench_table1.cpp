@@ -12,9 +12,9 @@
 
 // The per-backend section extends the same memory-vs-time story to the
 // pluggable pair sources: for each PairSource backend it reports the
-// index footprint (GST forest vs k-mer inverted index vs FM-index), the
-// pair and DP volume, the modeled parallel run-time, and whether the
-// final partition matches the GST run byte-for-byte.
+// index footprint (GST forest vs k-mer inverted index), the pair and DP
+// volume, the modeled parallel run-time, and whether the final partition
+// matches the GST run byte-for-byte.
 
 #include <memory>
 #include <optional>
@@ -22,6 +22,7 @@
 #include "baseline/greedy.hpp"
 #include "bench/common.hpp"
 #include "cluster/partition.hpp"
+#include "pace/loop.hpp"
 #include "pace/sequential.hpp"
 #include "pairgen/source.hpp"
 #include "util/check.hpp"
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const double scale = parse_scale(args);
 
-  // --pair-source=gst|kmer|fm narrows the backend section to one backend
+  // --pair-source=gst|kmer narrows the backend section to one backend
   // (plus gst, which always runs as the reference partition); "all" is
   // the default sweep.
   const std::string source_arg = args.get_string("pair-source", "all");
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
                     std::end(pairgen::kAllBackends));
   } else {
     const auto b = pairgen::parse_backend(source_arg);
-    ESTCLUST_CHECK_MSG(b.has_value(), "--pair-source must be gst, kmer, fm "
+    ESTCLUST_CHECK_MSG(b.has_value(), "--pair-source must be gst, kmer "
                                           << "or all (got '" << source_arg
                                           << "')");
     backends.push_back(pairgen::Backend::kGst);
@@ -125,14 +126,17 @@ int main(int argc, char** argv) {
 
     // Backend comparison at this size: index footprint from a sequential
     // whole-input source (all buckets owned), work and modeled time from
-    // a 4-rank parallel run. The gst partition is the reference every
-    // other backend must reproduce.
+    // a 4-rank parallel run. The gst partition is the reference kmer must
+    // reproduce.
     std::optional<std::string> gst_partition;
     for (pairgen::Backend b : backends) {
-      auto src = pairgen::make_pair_source(b, wl.ests, forest,
-                                           pcfg.gst.window, pcfg.psi);
       auto bcfg2 = pcfg;
       bcfg2.pair_source = b;
+      auto src = b == pairgen::Backend::kGst
+                     ? pairgen::make_pair_source(b, wl.ests, forest,
+                                                 pcfg.gst.window, pcfg.psi)
+                     : pace::make_bucket_source(wl.ests, bcfg2, 1, 0, 0,
+                                                /*comm=*/nullptr);
       auto res = run_parallel(wl.ests, bcfg2, 4);
       const std::string partition = cluster::canonical_partition(res.labels);
       std::string match = "yes";
@@ -155,8 +159,8 @@ int main(int argc, char** argv) {
   if (!per_backend.json_mode()) {
     std::cout << "\n";
     print_header("Table 1b: pair-source backends at equal acceptance",
-                 "Table 1's space/time axis, across GST / k-mer filter / "
-                 "FM-index pair sources");
+                 "Table 1's space/time axis, across GST and k-mer filter "
+                 "pair sources");
   }
   per_backend.print(std::cout);
   if (!table.json_mode()) {

@@ -1,8 +1,7 @@
 #include "gst/parallel.hpp"
 
-#include <cmath>
-
 #include "gst/wire.hpp"
+#include "mpr/clock.hpp"
 #include "mpr/message.hpp"
 #include "util/check.hpp"
 
@@ -96,9 +95,7 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
     nonempty += (n > 0);
     global_suffixes += n;
   }
-  comm.charge(cm.sort_op,
-              nonempty * (1 + static_cast<std::uint64_t>(std::log2(
-                                  static_cast<double>(nonempty + 1)))));
+  comm.charge(cm.sort_op, mpr::sort_model_units(nonempty));
 
   // Phase 4: route suffixes to their bucket owners.
   std::vector<mpr::BufWriter> packs(p);
@@ -127,9 +124,7 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
   recvbufs.clear();
   // Grouping the received suffixes by bucket is partitioning work;
   // refine_buckets performs that sort.
-  comm.charge(cm.sort_op,
-              owned.size() * (1 + static_cast<std::uint64_t>(std::log2(
-                                      static_cast<double>(owned.size() + 1)))));
+  comm.charge(cm.sort_op, mpr::sort_model_units(owned.size()));
   const double t1 = comm.clock().time();
   if (tracer) {
     tracer->end("partitioning");

@@ -64,9 +64,11 @@ std::vector<Tree> rebuild_rank_forest(const bio::EstSet& ests,
 /// The bucket ids `target_rank` owns under build_forest_parallel with the
 /// same `ests`, `cfg`, `p` and `first_owner_rank` — the first half of
 /// rebuild_rank_forest without refining any trees, sorted ascending.
-/// Non-GST pair sources only need ownership, not trees, to regenerate a
-/// dead rank's stream. `suffixes_scanned` (optional) receives the
-/// bucketing-scan work for clock charging.
+/// The kmer pair source needs only ownership, not trees, so the
+/// sequential and master/slave drivers build its share, live or
+/// regenerated, from these ids alone.
+/// `suffixes_scanned` (optional) receives the bucketing-scan work for
+/// clock charging.
 std::vector<std::uint64_t> owned_bucket_ids(
     const bio::EstSet& ests, const GstConfig& cfg, int p,
     int first_owner_rank, int target_rank,

@@ -14,6 +14,7 @@
 // of the curves is what the benchmarks check.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace estclust::mpr {
@@ -40,6 +41,14 @@ struct CostModel {
     return latency + static_cast<double>(payload_bytes) / bandwidth;
   }
 };
+
+/// Comparisons charged to sort_op for sorting n items: the deterministic
+/// n·(1 + ⌊log₂(n + 1)⌋) comparison-sort model, whatever sort the host
+/// actually runs.
+inline std::uint64_t sort_model_units(std::uint64_t n) {
+  return n * (1 + static_cast<std::uint64_t>(
+                      std::log2(static_cast<double>(n + 1))));
+}
 
 /// A rank's private virtual clock. Every second of virtual time is
 /// attributed to exactly one of three buckets: busy (modeled local

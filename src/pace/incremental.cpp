@@ -1,6 +1,7 @@
 #include "pace/incremental.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "gst/builder.hpp"
 #include "pace/loop.hpp"
@@ -47,19 +48,24 @@ BatchStats IncrementalClusterer::add_batch(std::vector<bio::Sequence> batch) {
   st.dirty_buckets = dirty.size();
   st.total_buckets = buckets_.size();
 
-  // Re-refine only the dirty buckets.
-  gst::BuildCounters counters;
+  // Pair up the dirty buckets: the GST walk over their re-refined trees,
+  // kmer over the bucket ids alone. Only pairs touching a new EST are
+  // fresh work: an old-old pair was considered when its later EST arrived.
   std::vector<gst::Tree> forest;
-  forest.reserve(dirty.size());
-  for (std::uint64_t b : dirty) {
-    forest.push_back(gst::build_bucket_tree(ests_, buckets_[b],
-                                            cfg_.gst.window, b, counters));
+  std::unique_ptr<pairgen::PairSource> source;
+  if (cfg_.pair_source == pairgen::Backend::kGst) {
+    gst::BuildCounters counters;
+    forest.reserve(dirty.size());
+    for (std::uint64_t b : dirty) {
+      forest.push_back(gst::build_bucket_tree(ests_, buckets_[b],
+                                              cfg_.gst.window, b, counters));
+    }
+    source = pairgen::make_pair_source(cfg_.pair_source, ests_, forest,
+                                       cfg_.gst.window, cfg_.psi);
+  } else {
+    source = pairgen::make_pair_source_for_buckets(
+        cfg_.pair_source, ests_, std::move(dirty), cfg_.gst.window, cfg_.psi);
   }
-
-  // Pair up the rebuilt subtrees. Only pairs touching a new EST are fresh
-  // work: an old-old pair was considered when its later EST arrived.
-  auto source = pairgen::make_pair_source(cfg_.pair_source, ests_, forest,
-                                          cfg_.gst.window, cfg_.psi);
   PairAligner aligner(ests_, cfg_);
   PaceStats loop_stats;
   ClusterLoop loop{

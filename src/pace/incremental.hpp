@@ -6,11 +6,12 @@
 // The bucketed GST makes this natural. The clusterer keeps every suffix
 // grouped by its w-character bucket. When a batch arrives, only the
 // buckets that receive new suffixes ("dirty" buckets) are re-refined into
-// subtrees, and pair generation over those subtrees is filtered to pairs
-// that involve at least one new EST — any old-old pair was already
-// considered when its later member arrived. The rest go through the batch
-// drivers' loop (loop.hpp) into the persistent union-find, so
-// `cfg.pair_source`, `memo` and `bounded_align` apply here too.
+// subtrees (kmer takes the dirty bucket ids and refines nothing), and
+// pair generation over them is filtered to pairs that involve at least
+// one new EST — any old-old pair was already considered when its later
+// member arrived. The rest go through the batch drivers' loop (loop.hpp)
+// into the persistent union-find, so `cfg.pair_source`, `memo` and
+// `bounded_align` apply here too.
 //
 // Guarantee (tested): after any sequence of batches the clustering equals
 // the from-scratch clustering of the union, because for every promising

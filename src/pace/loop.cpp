@@ -3,6 +3,7 @@
 #include <string>
 
 #include "align/dispatch.hpp"
+#include "gst/parallel.hpp"
 #include "mpr/communicator.hpp"
 #include "obs/trace.hpp"
 
@@ -46,6 +47,17 @@ void ClusterLoop::drain(pairgen::PairSource& source, std::size_t batchsize) {
     run(batch, source.take_work_units());
     batch.clear();
   }
+}
+
+std::unique_ptr<pairgen::PairSource> make_bucket_source(
+    const bio::EstSet& ests, const PaceConfig& cfg, int p,
+    int first_owner_rank, int rank, mpr::Communicator* comm) {
+  std::uint64_t scanned = 0;
+  auto owned = gst::owned_bucket_ids(ests, cfg.gst, p, first_owner_rank,
+                                     rank, &scanned);
+  if (comm) comm->charge(comm->cost_model().char_op, scanned);
+  return pairgen::make_pair_source_for_buckets(
+      cfg.pair_source, ests, std::move(owned), cfg.gst.window, cfg.psi);
 }
 
 void publish_aligner_metrics(mpr::Communicator& comm,

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cluster/union_find.hpp"
@@ -51,6 +52,16 @@ struct ClusterLoop {
   /// Runs every batch of at most `batchsize` pairs that `source` yields.
   void drain(pairgen::PairSource& source, std::size_t batchsize);
 };
+
+/// The kmer source over the buckets `rank` owns when ranks
+/// [first_owner_rank, p) share them. No forest is built: the ownership is
+/// replayed offline (gst::owned_bucket_ids), and that scan is charged to
+/// char_op on `comm`'s clock (null: unmetered). The sequential driver,
+/// every live slave and the master's regeneration of a dead slave build
+/// their kmer sources here, so a regenerated stream is the slave's own.
+std::unique_ptr<pairgen::PairSource> make_bucket_source(
+    const bio::EstSet& ests, const PaceConfig& cfg, int p,
+    int first_owner_rank, int rank, mpr::Communicator* comm);
 
 /// Publishes one rank's aligner observability (pace.memo_* counters,
 /// `pairs_aligned` under kernel.variant.<active variant>, the

@@ -276,14 +276,13 @@ void Master::handle_death(int slave, const HeartbeatMsg& hb) {
 
   // Regenerate the dead slave's entire promising-pair stream: recomputing
   // its share of the workload offline is deterministic — for the GST
-  // backend by rebuilding its forest share, for the k-mer/FM backends by
-  // recomputing its bucket ownership and re-running index construction —
-  // so the regenerated stream is identical to the one the slave was
-  // producing. Pairs the dead slave already delivered (or that resolved
-  // transitively) fall to the same() filter; re-aligning a survivor of
-  // the filter is idempotent — the aligner's verdicts are deterministic
-  // and unite() converges — so the final clusters match the fault-free
-  // run exactly.
+  // backend by rebuilding its forest share, for kmer through the slave's
+  // own make_bucket_source call — so the regenerated stream is identical
+  // to the one the slave was producing. Pairs the dead slave already
+  // delivered (or that resolved transitively) fall to the same() filter;
+  // re-aligning a survivor of the filter is idempotent — the aligner's
+  // verdicts are deterministic and unite() converges — so the final
+  // clusters match the fault-free run exactly.
   std::vector<gst::Tree> forest;
   std::unique_ptr<pairgen::PairSource> gen;
   if (cfg_.pair_source == pairgen::Backend::kGst) {
@@ -294,13 +293,8 @@ void Master::handle_death(int slave, const HeartbeatMsg& hb) {
     gen = pairgen::make_pair_source(cfg_.pair_source, ests_, forest,
                                     cfg_.gst.window, cfg_.psi);
   } else {
-    std::uint64_t scanned = 0;
-    auto owned =
-        gst::owned_bucket_ids(ests_, cfg_.gst, comm_.size(),
-                              /*first_owner_rank=*/1, slave, &scanned);
-    comm_.charge(comm_.cost_model().char_op, scanned);
-    gen = pairgen::make_pair_source_for_buckets(
-        cfg_.pair_source, ests_, std::move(owned), cfg_.gst.window, cfg_.psi);
+    gen = make_bucket_source(ests_, cfg_, comm_.size(),
+                             /*first_owner_rank=*/1, slave, &comm_);
   }
   comm_.charge(comm_.cost_model().sort_op, gen->construction_sort_units());
   std::vector<pairgen::PromisingPair> batch;

@@ -75,13 +75,17 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   ParallelResult res;
   PaceStats& st = res.stats;
 
-  // Phase 1+2: distributed GST, buckets owned by slaves only.
-  gst::ParallelBuildStats build_stats;
-  auto forest = gst::build_forest_parallel(comm, ests, effective.gst,
-                                           &build_stats,
-                                           /*first_owner_rank=*/1);
-  st.t_partition = comm.allreduce_max(build_stats.partition_vtime);
-  st.t_gst = comm.allreduce_max(build_stats.build_vtime);
+  // Phase 1+2: distributed GST, buckets owned by slaves only. Only the
+  // GST walk reads a forest; each kmer slave derives its buckets itself.
+  std::vector<gst::Tree> forest;
+  if (effective.pair_source == pairgen::Backend::kGst) {
+    gst::ParallelBuildStats build_stats;
+    forest = gst::build_forest_parallel(comm, ests, effective.gst,
+                                        &build_stats,
+                                        /*first_owner_rank=*/1);
+    st.t_partition = comm.allreduce_max(build_stats.partition_vtime);
+    st.t_gst = comm.allreduce_max(build_stats.build_vtime);
+  }
 
   // Phase 3+4: master/slave clustering loop.
   std::vector<std::uint32_t> labels;

@@ -32,20 +32,24 @@ SequentialResult cluster_sequential(const bio::EstSet& ests,
   const auto now = [comm] { return comm ? comm->clock().time() : 0.0; };
   obs::RankTracer* tracer = comm ? comm->tracer() : nullptr;
 
+  // Only the GST walk reads a forest; kmer gets its bucket ids instead.
+  const bool gst_walk = cfg.pair_source == pairgen::Backend::kGst;
   std::vector<gst::Tree> forest;
-  if (comm) {
+  if (gst_walk && comm) {
     gst::ParallelBuildStats build_stats;
     forest = gst::build_forest_parallel(*comm, ests, cfg.gst, &build_stats);
     st.t_partition = build_stats.partition_vtime;
     st.t_gst = build_stats.build_vtime;
-  } else {
+  } else if (gst_walk) {
     forest = gst::build_forest_sequential(ests, cfg.gst.window);
   }
 
   double t = now();
   if (tracer) tracer->begin("node_sorting", "phase");
-  auto gen = pairgen::make_pair_source(cfg.pair_source, ests, forest,
-                                       cfg.gst.window, cfg.psi);
+  auto gen = gst_walk ? pairgen::make_pair_source(cfg.pair_source, ests,
+                                                  forest, cfg.gst.window,
+                                                  cfg.psi)
+                      : make_bucket_source(ests, cfg, 1, 0, 0, comm);
   if (comm) {
     comm->charge(comm->cost_model().sort_op, gen->construction_sort_units());
   }

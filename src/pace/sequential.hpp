@@ -1,7 +1,8 @@
 // Single-processor clustering: the one p = 1 pipeline.
 //
 // Partition, GST, node sort and the clustering loop (loop.hpp) on one
-// processor, on whichever clock the caller attaches. Without a
+// processor, on whichever clock the caller attaches. The kmer backend
+// skips partition and GST: it reads only its bucket ids. Without a
 // communicator it charges nothing and reads no clock — the path Table 1,
 // Table 2 and Fig 7 time from outside, and the natural entry point for
 // library users. With one it builds through the rank's distributed GST

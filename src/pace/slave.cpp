@@ -23,15 +23,20 @@ Slave::Slave(mpr::Communicator& comm, const bio::EstSet& ests,
     : comm_(comm),
       ests_(ests),
       cfg_(cfg),
-      source_(pairgen::make_pair_source(cfg.pair_source, ests, forest,
-                                        cfg.gst.window, cfg.psi)),
       aligner_(ests, cfg),
       reliable_(comm.fault_plan() != nullptr) {
-  // The source's constructor did its one-off setup (node sorting for the
-  // GST walk — Table 3's "Sorting Nodes" column — or index construction
-  // for the k-mer/FM backends); charge it to this rank's clock.
+  // The source's one-off setup — node sorting for the GST walk (Table 3's
+  // "Sorting Nodes" column), or kmer's ownership scan and index
+  // construction — is charged to this rank's clock.
   ESTCLUST_TRACE_SPAN(comm_.tracer(), "node_sorting", "phase");
   const double before = comm_.clock().time();
+  if (cfg.pair_source == pairgen::Backend::kGst) {
+    source_ = pairgen::make_pair_source(cfg.pair_source, ests, forest,
+                                        cfg.gst.window, cfg.psi);
+  } else {
+    source_ = make_bucket_source(ests, cfg, comm.size(),
+                                 /*first_owner_rank=*/1, comm.rank(), &comm);
+  }
   comm_.charge(comm_.cost_model().sort_op, source_->construction_sort_units());
   counters_.sort_vtime = comm_.clock().time() - before;
 }

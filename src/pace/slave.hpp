@@ -39,7 +39,8 @@ std::array<std::size_t, 3> startup_split(std::size_t batchsize);
 
 class Slave {
  public:
-  /// `forest` is this rank's share of the distributed GST.
+  /// `forest` is this rank's share of the distributed GST, read only by
+  /// the gst backend (empty for kmer, which builds its own share).
   Slave(mpr::Communicator& comm, const bio::EstSet& ests,
         const PaceConfig& cfg, const std::vector<gst::Tree>& forest);
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <span>
 
+#include "mpr/clock.hpp"
 #include "util/check.hpp"
 
 namespace estclust::pairgen {
@@ -290,8 +290,7 @@ void PairGenerator::emit(const LsetEntry& e1, const LsetEntry& e2,
 std::uint64_t PairGenerator::construction_sort_units() const {
   std::uint64_t k = 0;
   for (const auto& t : forest_) k += t.size();
-  return k * (1 + static_cast<std::uint64_t>(
-                      std::log2(static_cast<double>(k + 1))));
+  return mpr::sort_model_units(k);
 }
 
 std::uint64_t PairGenerator::index_bytes() const {

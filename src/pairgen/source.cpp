@@ -1,8 +1,5 @@
 #include "pairgen/source.hpp"
 
-#include <algorithm>
-
-#include "pairgen/fm.hpp"
 #include "pairgen/generator.hpp"
 #include "pairgen/kmer.hpp"
 #include "util/check.hpp"
@@ -15,8 +12,6 @@ std::string_view backend_name(Backend b) {
       return "gst";
     case Backend::kKmer:
       return "kmer";
-    case Backend::kFm:
-      return "fm";
   }
   ESTCLUST_CHECK_MSG(false, "unknown pair-source backend");
   return "";
@@ -31,39 +26,22 @@ std::optional<Backend> parse_backend(std::string_view name) {
 
 std::unique_ptr<PairSource> make_pair_source(
     Backend backend, const bio::EstSet& ests,
-    const std::vector<gst::Tree>& forest, std::uint32_t window,
+    const std::vector<gst::Tree>& forest, std::uint32_t /*window*/,
     std::uint32_t psi) {
-  if (backend == Backend::kGst) {
-    return std::make_unique<PairGenerator>(ests, forest, psi);
-  }
-  std::vector<std::uint64_t> owned;
-  owned.reserve(forest.size());
-  for (const auto& t : forest) {
-    ESTCLUST_CHECK(t.prefix_depth == window);
-    owned.push_back(t.bucket_id);
-  }
-  std::sort(owned.begin(), owned.end());
-  return make_pair_source_for_buckets(backend, ests, std::move(owned), window,
-                                      psi);
+  ESTCLUST_CHECK_MSG(backend == Backend::kGst,
+                     backend_name(backend)
+                         << " pair source needs a bucket list, not a forest");
+  return std::make_unique<PairGenerator>(ests, forest, psi);
 }
 
 std::unique_ptr<PairSource> make_pair_source_for_buckets(
     Backend backend, const bio::EstSet& ests,
     std::vector<std::uint64_t> owned_buckets, std::uint32_t window,
     std::uint32_t psi) {
-  switch (backend) {
-    case Backend::kKmer:
-      return std::make_unique<KmerPairSource>(ests, std::move(owned_buckets),
-                                              window, psi);
-    case Backend::kFm:
-      return std::make_unique<FmPairSource>(ests, std::move(owned_buckets),
-                                            window, psi);
-    case Backend::kGst:
-      break;
-  }
-  ESTCLUST_CHECK_MSG(false,
+  ESTCLUST_CHECK_MSG(backend == Backend::kKmer,
                      "pair source needs the GST forest, not a bucket list");
-  return nullptr;
+  return std::make_unique<KmerPairSource>(ests, std::move(owned_buckets),
+                                          window, psi);
 }
 
 }  // namespace estclust::pairgen

@@ -1,9 +1,8 @@
 // Pluggable promising-pair backends behind one streaming interface.
 //
 // The paper's GST walk (generator.hpp) is one way to produce the §3.2
-// promising-pair stream; a k-mer inverted index (kmer.hpp) and an FM-index
-// (fm.hpp) are two more. Every backend honours the same contract
-// (DESIGN.md §11):
+// promising-pair stream; a k-mer inverted index (kmer.hpp) is the other.
+// Both backends honour the same contract (DESIGN.md §11):
 //
 //   * pairs stream out in decreasing maximal-common-substring length,
 //     duplicate-free, invariant under next_batch batch sizes;
@@ -57,18 +56,16 @@ struct GenStats {
 enum class Backend : std::uint8_t {
   kGst = 0,   ///< distributed GST node walk (the paper's Algorithm 1)
   kKmer = 1,  ///< 2-bit-packed k-mer inverted index, shared-seed extension
-  kFm = 2,    ///< FM-index (BWT/occ) backward-search seed matching
 };
 
-/// "gst" | "kmer" | "fm".
+/// "gst" | "kmer".
 std::string_view backend_name(Backend b);
 
 /// Parses a backend name; nullopt on anything unrecognised.
 std::optional<Backend> parse_backend(std::string_view name);
 
 /// All known backends, in CLI order (test/bench matrix iteration).
-inline constexpr Backend kAllBackends[] = {Backend::kGst, Backend::kKmer,
-                                           Backend::kFm};
+inline constexpr Backend kAllBackends[] = {Backend::kGst, Backend::kKmer};
 
 /// Batched promising-pair production under the decreasing-overlap-order
 /// contract, plus GenStats accounting. See the file comment for the
@@ -100,21 +97,21 @@ class PairSource {
   virtual std::uint64_t index_bytes() const = 0;
 };
 
-/// Builds a pair source over this rank's share of the workload. The GST
-/// backend wraps `forest` directly (and borrows it; it must outlive the
-/// source). kmer/fm derive their owned-bucket share and seed the index
-/// from the same forest's bucket ids, so all three backends emit the
-/// rank-local slice of the same global candidate set. `window` is the
-/// §3.1 bucketing prefix length w (needed when `forest` is empty).
+/// gst only: the GST walk over this rank's share of the distributed GST.
+/// It borrows `forest`, which must outlive the source; `window` is not
+/// read, since the forest carries its own w. Any other backend is a CHECK
+/// failure: it reads no forest, so a caller that built one wasted the
+/// build.
 std::unique_ptr<PairSource> make_pair_source(
     Backend backend, const bio::EstSet& ests,
     const std::vector<gst::Tree>& forest, std::uint32_t window,
     std::uint32_t psi);
 
-/// kmer/fm only: builds a source from an explicit owned-bucket set (the
-/// master's rebuild-after-death path, which recomputes ownership via
-/// gst::owned_bucket_ids without refining any trees). `owned_buckets`
-/// must be sorted ascending.
+/// kmer only: a source over an explicit owned-bucket set, as
+/// gst::owned_bucket_ids computes it without refining any trees, so both
+/// backends emit the rank-local slice of the same global candidate set.
+/// `owned_buckets` must be sorted ascending; `window` is the §3.1
+/// bucketing prefix length w.
 std::unique_ptr<PairSource> make_pair_source_for_buckets(
     Backend backend, const bio::EstSet& ests,
     std::vector<std::uint64_t> owned_buckets, std::uint32_t window,

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "pace/messages.hpp"
 #include "pace/parallel.hpp"
 #include "pace/sequential.hpp"
+#include "pairgen/source.hpp"
 #include "sim/workload.hpp"
 #include "util/check.hpp"
 
@@ -303,12 +305,14 @@ bio::EstSet test_workload(int num_genes, int num_ests, std::uint64_t seed) {
   return sim::generate(cfg).ests;
 }
 
-std::vector<std::uint32_t> run_parallel(const bio::EstSet& ests, int ranks,
-                                        const mpr::FaultSpec* faults) {
+std::vector<std::uint32_t> run_parallel(
+    const bio::EstSet& ests, int ranks, const mpr::FaultSpec* faults,
+    pairgen::Backend backend = pairgen::Backend::kGst) {
   pace::PaceConfig cfg;
   cfg.gst.window = 6;
   cfg.psi = 20;
   cfg.batchsize = 10;
+  cfg.pair_source = backend;
   std::vector<std::uint32_t> labels;
   std::mutex mu;
   mpr::Runtime rt(ranks, mpr::CostModel{});
@@ -351,41 +355,57 @@ TEST(FaultEquivalence, FaultedRunsReplayBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate inputs (gst/builder.cpp audit) and single-rank routing.
+// Degenerate inputs (gst/builder.cpp audit) and single-rank routing, on
+// every pair-source backend: kmer builds its share from bucket ids, not
+// from a forest, so empty and tiny inputs take a path of their own there.
 
-TEST(Degenerate, EmptyEstSet) {
+class Degenerate : public testing::TestWithParam<pairgen::Backend> {};
+
+TEST_P(Degenerate, EmptyEstSet) {
   const bio::EstSet empty{std::vector<bio::Sequence>{}};
-  EXPECT_TRUE(run_parallel(empty, 4, nullptr).empty());
+  EXPECT_TRUE(run_parallel(empty, 4, nullptr, GetParam()).empty());
   pace::PaceConfig cfg;
+  cfg.pair_source = GetParam();
   auto seq = pace::cluster_sequential(empty, cfg);
   EXPECT_TRUE(seq.clusters.labels().empty());
 }
 
-TEST(Degenerate, SingleEst) {
+TEST_P(Degenerate, SingleEst) {
   const bio::EstSet ests = test_workload(1, 1, 3);
-  const auto labels = run_parallel(ests, 4, nullptr);
+  const auto labels = run_parallel(ests, 4, nullptr, GetParam());
   ASSERT_EQ(labels.size(), 1u);
   mpr::FaultSpec spec = heavy_spec();
-  EXPECT_EQ(run_parallel(ests, 4, &spec), labels);
+  EXPECT_EQ(run_parallel(ests, 4, &spec, GetParam()), labels);
 }
 
-TEST(Degenerate, MoreRanksThanEsts) {
+TEST_P(Degenerate, MoreRanksThanEsts) {
   const bio::EstSet ests = test_workload(2, 3, 17);
-  const auto base = run_parallel(ests, 2, nullptr);
-  EXPECT_EQ(run_parallel(ests, 8, nullptr), base);
+  const auto base = run_parallel(ests, 2, nullptr, GetParam());
+  EXPECT_EQ(run_parallel(ests, 8, nullptr, GetParam()), base);
   mpr::FaultSpec spec = heavy_spec();
   spec.deaths.push_back({7, 0.005});
-  EXPECT_EQ(run_parallel(ests, 8, &spec), base);
+  EXPECT_EQ(run_parallel(ests, 8, &spec, GetParam()), base);
 }
 
-TEST(Degenerate, SingleRankRoutesToLocalPipeline) {
+TEST_P(Degenerate, SingleRankRoutesToLocalPipeline) {
   // Regression for the p = 1 crash: a 1-rank communicator must run the
   // whole pipeline locally instead of CHECK-failing in the Master ctor.
   const bio::EstSet ests = test_workload(3, 20, 29);
-  const auto one = run_parallel(ests, 1, nullptr);
+  const auto one = run_parallel(ests, 1, nullptr, GetParam());
   ASSERT_EQ(one.size(), ests.num_ests());
-  EXPECT_EQ(run_parallel(ests, 2, nullptr), one);
+  EXPECT_EQ(run_parallel(ests, 2, nullptr, GetParam()), one);
 }
 
+INSTANTIATE_TEST_SUITE_P(, Degenerate,
+                         testing::ValuesIn(pairgen::kAllBackends));
+
 }  // namespace
+
+namespace pairgen {
+
+// Prints a backend parameter by name, so ctest registers the Degenerate
+// cases as Degenerate.<Test>/gst and Degenerate.<Test>/kmer.
+void PrintTo(Backend b, std::ostream* os) { *os << backend_name(b); }
+
+}  // namespace pairgen
 }  // namespace estclust

@@ -8,8 +8,8 @@
 // up as a golden diff, not a silent drift. The sequential and incremental
 // drivers are held to the same clusters golden (check_local_drivers).
 //
-// The suite is instantiated once per PairSource backend (gst/kmer/fm) by
-// tests/CMakeLists.txt. All backends must reproduce the *same* canonical
+// The suite is instantiated once per PairSource backend (gst/kmer) by
+// tests/CMakeLists.txt. Both backends must reproduce the *same* canonical
 // partition (pinned in <fixture>.clusters.txt, owned by the gst build);
 // modeled run-times legitimately differ per backend and are pinned in
 // <fixture>.runtimes[.<backend>].txt.
@@ -65,9 +65,9 @@ std::string data_path(const std::string& name) {
   return std::string(ESTCLUST_TEST_DATA_DIR) + "/" + name;
 }
 
-/// gst owns the historical .runtimes.txt golden; the other backends have
-/// their own files since index construction / pair work is charged
-/// differently per backend.
+/// gst owns the historical .runtimes.txt golden; kmer has its own file
+/// since index construction / pair work is charged differently per
+/// backend.
 std::string runtimes_name(const std::string& fixture) {
   if (gst_backend()) return fixture + ".runtimes.txt";
   return fixture + ".runtimes." + std::string(ESTCLUST_PAIRSOURCE_BACKEND) +
@@ -228,7 +228,7 @@ void check_fixture(const Fixture& fix) {
   if (update_mode() && gst_backend()) {
     // Regenerate the FASTA fixture from its pinned simulator seed, so the
     // fixture file itself is reproducible. Only the gst build owns the
-    // FASTA and clusters goldens; kmer/fm must match them, not mint them.
+    // FASTA and clusters goldens; kmer must match them, not mint them.
     auto wl = sim::generate(fix.sim);
     std::vector<bio::Sequence> seqs;
     for (std::size_t i = 0; i < wl.ests.num_ests(); ++i) {

@@ -1,9 +1,9 @@
 // Pair-stream contract tests, instantiated once per PairSource backend by
 // tests/CMakeLists.txt (add_pairsource_test): the same binary compiles
-// with ESTCLUST_PAIRSOURCE_BACKEND set to "gst", "kmer" or "fm" and every
-// interface-level property below must hold for all of them. A handful of
+// with ESTCLUST_PAIRSOURCE_BACKEND set to "gst" or "kmer" and every
+// interface-level property below must hold for both. A handful of
 // GST-internal guarantees (lset space bounds, Corollary 2, the pinned
-// record stream) skip on the other backends.
+// record stream) skip on kmer.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,6 +20,7 @@
 #include "bio/dataset.hpp"
 #include "bio/fasta.hpp"
 #include "gst/builder.hpp"
+#include "gst/parallel.hpp"
 #include "pairgen/generator.hpp"
 #include "pairgen/source.hpp"
 #include "util/check.hpp"
@@ -47,13 +48,36 @@ Backend test_backend() {
 
 bool gst_backend() { return test_backend() == Backend::kGst; }
 
-/// The backend under test over `forest`'s bucket share (w = the window
-/// the forest was built with).
-std::unique_ptr<PairSource> make_source(const EstSet& ests,
-                                        const std::vector<gst::Tree>& forest,
-                                        std::uint32_t w, std::uint32_t psi) {
-  return make_pair_source(test_backend(), ests, forest, w, psi);
-}
+/// The backend under test over the buckets `rank` owns when ranks
+/// [first_owner_rank, p) share them at window w (by default one rank that
+/// owns them all): the GST walk over the rank's forest, kmer over its
+/// bucket ids alone. The walk borrows its forest, so the forest lives
+/// beside the source, and the pair is neither copied nor moved.
+class TestSource {
+ public:
+  TestSource(const EstSet& ests, std::uint32_t w, std::uint32_t psi,
+             int p = 1, int first_owner_rank = 0, int rank = 0) {
+    const gst::GstConfig cfg{w};
+    if (gst_backend()) {
+      forest_ = gst::rebuild_rank_forest(ests, cfg, p, first_owner_rank, rank);
+      source_ = make_pair_source(Backend::kGst, ests, forest_, w, psi);
+    } else {
+      source_ = make_pair_source_for_buckets(
+          test_backend(), ests,
+          gst::owned_bucket_ids(ests, cfg, p, first_owner_rank, rank), w,
+          psi);
+    }
+  }
+  TestSource(const TestSource&) = delete;
+  TestSource& operator=(const TestSource&) = delete;
+
+  PairSource& operator*() const { return *source_; }
+  PairSource* operator->() const { return source_.get(); }
+
+ private:
+  std::vector<gst::Tree> forest_;
+  std::unique_ptr<PairSource> source_;
+};
 
 std::string random_dna(Prng& rng, std::size_t len) {
   std::string s(len, 'A');
@@ -125,8 +149,7 @@ std::vector<PromisingPair> drain(PairSource& gen,
 
 TEST(PairSource, RequiresPsiAtLeastWindow) {
   EstSet ests(std::vector<Sequence>{{"a", "ACGTACGTACGT"}});
-  auto forest = gst::build_forest_sequential(ests, 4);
-  EXPECT_THROW(make_source(ests, forest, 4, 3), CheckError);
+  EXPECT_THROW(TestSource(ests, 4, 3), CheckError);
 }
 
 TEST(PairSource, EmitsSharedSubstringPair) {
@@ -135,8 +158,7 @@ TEST(PairSource, EmitsSharedSubstringPair) {
   std::string core = random_dna(rng, 20);
   EstSet ests({{"a", random_dna(rng, 30) + core},
                {"b", core + random_dna(rng, 30)}});
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 10);
+  TestSource gen(ests, 4, 10);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
   bool found = false;
@@ -153,8 +175,7 @@ TEST(PairSource, NoPairsWithoutSharedSubstrings) {
   // NB: revcomp of b is AAAA..CCCC-like; "b" rc = AAAA(40)CCCC? No:
   // revcomp("G^40 T^40") = "A^40 C^40", which matches EST a exactly!
   // That is intentional: the pair must be found in rc orientation.
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 10);
+  TestSource gen(ests, 4, 10);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
   for (const auto& p : pairs) {
@@ -168,8 +189,7 @@ TEST(PairSource, TrulyDisjointYieldsNothing) {
   EstSet ests({{"a", std::string(60, 'A')},
                {"b", std::string(60, 'C')}});
   // rc(b) = G^60; no common 4-mer with A^60 in any orientation.
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 8);
+  TestSource gen(ests, 4, 8);
   auto pairs = drain(*gen);
   EXPECT_TRUE(pairs.empty());
 }
@@ -180,8 +200,7 @@ TEST(PairSource, ReverseComplementOverlapDetected) {
   EstSet ests({{"a", random_dna(rng, 20) + core + random_dna(rng, 20)},
                {"b", random_dna(rng, 15) + bio::reverse_complement(core) +
                          random_dna(rng, 15)}});
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 12);
+  TestSource gen(ests, 4, 12);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
   for (const auto& p : pairs) {
@@ -192,8 +211,7 @@ TEST(PairSource, ReverseComplementOverlapDetected) {
 TEST(PairSource, AnchorsAreValidMaximalMatches) {
   Prng rng(3);
   EstSet ests = overlap_ests(rng, 8, 3);
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 12);
+  TestSource gen(ests, 4, 12);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
   for (const auto& p : pairs) {
@@ -224,8 +242,7 @@ TEST(PairSource, MatchesBruteForcePromisingPairs) {
     Prng rng(seed);
     EstSet ests = overlap_ests(rng, 7, 4);
     const std::uint32_t psi = 14;
-    auto forest = gst::build_forest_sequential(ests, 4);
-    auto gen = make_source(ests, forest, 4, psi);
+    TestSource gen(ests, 4, psi);
     auto pairs = drain(*gen);
 
     std::set<std::pair<bio::EstId, bio::EstId>> generated;
@@ -249,8 +266,7 @@ TEST(PairSource, MatchesBruteForcePromisingPairs) {
 TEST(PairSource, PairsStreamInDecreasingMatchLength) {
   Prng rng(20);
   EstSet ests = overlap_ests(rng, 10, 2);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
   for (std::size_t i = 1; i < pairs.size(); ++i) {
@@ -262,8 +278,7 @@ TEST(PairSource, FirstPairHasGloballyLongestMatch) {
   Prng rng(21);
   EstSet ests = overlap_ests(rng, 8, 2);
   const std::uint32_t psi = 10;
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, psi);
+  TestSource gen(ests, 3, psi);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
 
@@ -281,7 +296,7 @@ TEST(PairSource, FirstPairHasGloballyLongestMatch) {
 
 TEST(PairGenerator, EmissionCountBoundedByDistinctMaximalSubstrings) {
   // Corollary 2 is a guarantee of the GST walk's per-node duplicate
-  // elimination; the seed backends emit one record per occurrence pair,
+  // elimination; kmer emits one record per occurrence pair,
   // which a repeated substring can push past the distinct-string bound.
   if (!gst_backend()) GTEST_SKIP() << "GST-specific bound";
   Prng rng(22);
@@ -307,12 +322,10 @@ TEST(PairGenerator, EmissionCountBoundedByDistinctMaximalSubstrings) {
 TEST(PairSource, BatchingIsEquivalentToDraining) {
   Prng rng(23);
   EstSet ests = overlap_ests(rng, 9, 2);
-  auto forest = gst::build_forest_sequential(ests, 3);
-
-  auto big = make_source(ests, forest, 3, 10);
+  TestSource big(ests, 3, 10);
   auto all = drain(*big);
 
-  auto small = make_source(ests, forest, 3, 10);
+  TestSource small(ests, 3, 10);
   std::vector<PromisingPair> collected;
   while (small->next_batch(7, collected) > 0) {
   }
@@ -337,9 +350,7 @@ TEST_P(PairStreamProperty, StreamIsSortedDuplicateFreeAndBatchInvariant) {
   EstSet ests = overlap_ests(rng, 6 + rng.uniform(8), rng.uniform(4),
                              180 + rng.uniform(120), 70 + rng.uniform(40));
   const std::uint32_t psi = 10 + static_cast<std::uint32_t>(rng.uniform(8));
-  auto forest = gst::build_forest_sequential(ests, 3);
-
-  auto ref_gen = make_source(ests, forest, 3, psi);
+  TestSource ref_gen(ests, 3, psi);
   auto reference = drain(*ref_gen);
 
   // Non-increasing match length: the on-demand stream honours the
@@ -365,7 +376,7 @@ TEST_P(PairStreamProperty, StreamIsSortedDuplicateFreeAndBatchInvariant) {
   // sequence.
   for (std::size_t batch : {std::size_t{1}, std::size_t{3}, std::size_t{17},
                             std::size_t{256}}) {
-    auto gen = make_source(ests, forest, 3, psi);
+    TestSource gen(ests, 3, psi);
     std::vector<PromisingPair> got;
     while (gen->next_batch(batch, got) > 0) {
     }
@@ -388,8 +399,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairStreamProperty,
 TEST(PairSource, NextBatchRespectsLimit) {
   Prng rng(24);
   EstSet ests = overlap_ests(rng, 10, 0);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   std::vector<PromisingPair> out;
   std::size_t got = gen->next_batch(3, out);
   EXPECT_LE(got, 3u);
@@ -399,8 +409,7 @@ TEST(PairSource, NextBatchRespectsLimit) {
 TEST(PairSource, ExhaustedAfterDrain) {
   Prng rng(25);
   EstSet ests = overlap_ests(rng, 5, 1);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   EXPECT_FALSE(gen->exhausted());
   drain(*gen);
   EXPECT_TRUE(gen->exhausted());
@@ -418,8 +427,7 @@ TEST(PairSource, NoSelfPairsEverEmitted) {
   EstSet ests({{"a", repeat + random_dna(rng, 10) +
                          bio::reverse_complement(repeat)},
                {"b", random_dna(rng, 70)}});
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 10);
+  TestSource gen(ests, 4, 10);
   auto pairs = drain(*gen);
   for (const auto& p : pairs) EXPECT_NE(p.a, p.b);
   EXPECT_GT(gen->stats().discarded_self, 0u);
@@ -428,8 +436,7 @@ TEST(PairSource, NoSelfPairsEverEmitted) {
 TEST(PairSource, OrientationRuleKeepsForwardFirstString) {
   Prng rng(27);
   EstSet ests = overlap_ests(rng, 10, 0);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   auto pairs = drain(*gen);
   ASSERT_FALSE(pairs.empty());
   for (const auto& p : pairs) EXPECT_LT(p.a, p.b);
@@ -440,8 +447,7 @@ TEST(PairSource, OrientationRuleKeepsForwardFirstString) {
 TEST(PairSource, StatsAddUp) {
   Prng rng(28);
   EstSet ests = overlap_ests(rng, 8, 2);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   auto pairs = drain(*gen);
   EXPECT_EQ(gen->stats().pairs_emitted, pairs.size());
   EXPECT_GT(gen->stats().nodes_processed, 0u);
@@ -451,8 +457,7 @@ TEST(PairSource, StatsAddUp) {
 TEST(PairSource, WorkUnitsAreConsumedByTake) {
   Prng rng(29);
   EstSet ests = overlap_ests(rng, 6, 1);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   drain(*gen);
   EXPECT_GT(gen->take_work_units(), 0u);
   EXPECT_EQ(gen->take_work_units(), 0u);  // second take: nothing new
@@ -464,11 +469,10 @@ TEST(PairSource, ConstructionUnitsAndIndexBytesAreStable) {
   // must not drain away with the stream.
   Prng rng(31);
   EstSet ests = overlap_ests(rng, 8, 2);
-  auto forest = gst::build_forest_sequential(ests, 3);
-  auto gen = make_source(ests, forest, 3, 10);
+  TestSource gen(ests, 3, 10);
   const std::uint64_t units = gen->construction_sort_units();
   EXPECT_GT(units, 0u);
-  auto again = make_source(ests, forest, 3, 10);
+  TestSource again(ests, 3, 10);
   EXPECT_EQ(again->construction_sort_units(), units);
   drain(*gen);
   EXPECT_EQ(gen->construction_sort_units(), units);
@@ -579,25 +583,72 @@ TEST(PairGenerator, GoldenPairStream) {
 }
 
 TEST(PairSource, EmptyForest) {
+  // A rank that owns no bucket: an empty forest for the GST walk, an empty
+  // bucket list for kmer.
   EstSet ests(std::vector<Sequence>{{"a", "ACGT"}});
-  std::vector<gst::Tree> forest;  // nothing
-  auto gen = make_source(ests, forest, 4, 8);
+  const std::vector<gst::Tree> forest;
+  auto gen = gst_backend()
+                 ? make_pair_source(Backend::kGst, ests, forest, 4, 8)
+                 : make_pair_source_for_buckets(test_backend(), ests, {}, 4, 8);
   EXPECT_TRUE(gen->exhausted());
 }
 
 TEST(PairSource, IdenticalEstsPairViaLambdaLeaf) {
   // Two identical ESTs: the whole-string suffix of each is the same string,
   // coalescing into one leaf whose l_λ has both -> λ×λ product emits them
-  // (the seed backends find the same anchor by whole-string extension).
+  // (kmer finds the same anchor by whole-string extension).
   EstSet ests({{"a", "ACGTACGTACGTACGT"}, {"b", "ACGTACGTACGTACGT"}});
-  auto forest = gst::build_forest_sequential(ests, 4);
-  auto gen = make_source(ests, forest, 4, 16);
+  TestSource gen(ests, 4, 16);
   auto pairs = drain(*gen);
   bool found = false;
   for (const auto& p : pairs) {
     if (p.a == 0 && p.b == 1 && !p.b_rc && p.match_len == 16) found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(PairSource, RankSharesPartitionTheStream) {
+  // Contract (d): a rank emits exactly the records whose anchor's bucket
+  // it owns. So for any p, and whichever ranks own buckets, the rank
+  // shares are pairwise disjoint and together make up the one-rank
+  // stream.
+  const std::string data_dir = ESTCLUST_TEST_DATA_DIR;
+  const EstSet ests(bio::read_fasta_file(data_dir + "/golden_small.fasta"));
+  using Record = std::tuple<bio::EstId, bio::EstId, bool, std::uint32_t,
+                            std::uint32_t, std::uint32_t>;
+  const auto records = [](PairSource& gen) {
+    std::set<Record> out;
+    for (const auto& p : drain(gen)) {
+      out.insert({p.a, p.b, p.b_rc, p.match_len, p.a_pos, p.b_pos});
+    }
+    return out;
+  };
+  TestSource whole(ests, 6, 24);
+  const std::set<Record> expected = records(*whole);
+  ASSERT_FALSE(expected.empty());
+  for (int p : {2, 3, 4}) {
+    for (int first_owner : {0, 1}) {
+      std::set<Record> united;
+      std::uint64_t emitted = 0;
+      for (int rank = first_owner; rank < p; ++rank) {
+        TestSource share(ests, 6, 24, p, first_owner, rank);
+        std::size_t shared = 0;
+        for (const Record& r : records(*share)) {
+          shared += united.insert(r).second ? 0 : 1;
+        }
+        EXPECT_EQ(shared, 0u)
+            << "p=" << p << " first_owner=" << first_owner << ": rank "
+            << rank << " emits records a lower rank emits";
+        emitted += share->stats().pairs_emitted;
+      }
+      EXPECT_TRUE(united == expected)
+          << "p=" << p << " first_owner=" << first_owner << ": "
+          << united.size() << " records across ranks, " << expected.size()
+          << " at p = 1";
+      EXPECT_EQ(emitted, whole->stats().pairs_emitted)
+          << "p=" << p << " first_owner=" << first_owner;
+    }
+  }
 }
 
 }  // namespace

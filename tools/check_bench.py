@@ -290,7 +290,7 @@ def main():
     ap.add_argument("--table3")
     ap.add_argument("--table1")
     ap.add_argument("--pair-source",
-                    help="backend for the --table1 gate (gst, kmer or fm)")
+                    help="backend for the --table1 gate (gst or kmer)")
     ap.add_argument("--wallclock",
                     help="bench_align_micro binary for the SIMD wall-clock "
                          "gate (no baseline: real time, loose margins)")

@@ -50,6 +50,8 @@ REQUIRED_TESTS = (
     "cli_cluster_unwritable_out",
     "cli_cluster_unwritable_trace",
     "cli_faults_need_ranks",
+    # A removed backend name is rejected before the input is read.
+    "cli_pair_source_fm",
     "headers_standalone",
     "profile_smoke",
     "bench_smoke",
@@ -59,16 +61,23 @@ REQUIRED_TESTS = (
     # from ctest silently — these names make that a matrix failure.
     "gst/GoldenClusters.Small",
     "kmer/GoldenClusters.Small",
-    "fm/GoldenClusters.Small",
     # The kill-plan goldens are the only end-to-end check of the offline
     # rebuild of a dead slave's share (gst::rebuild_rank_forest and
     # gst::owned_bucket_ids).
     "gst/GoldenClustersFaulted.Small",
     "kmer/GoldenClustersFaulted.Small",
-    "fm/GoldenClustersFaulted.Small",
     "gst/PairSource.MatchesBruteForcePromisingPairs",
     "kmer/PairSource.MatchesBruteForcePromisingPairs",
-    "fm/PairSource.MatchesBruteForcePromisingPairs",
+    # Contract (d) directly: rank shares are disjoint and make up the
+    # one-rank stream.
+    "gst/PairSource.RankSharesPartitionTheStream",
+    "kmer/PairSource.RankSharesPartitionTheStream",
+    # kmer builds its share from bucket ids, with no forest, on empty and
+    # tiny inputs too.
+    "Degenerate.EmptyEstSet/kmer",
+    "Degenerate.SingleEst/kmer",
+    "Degenerate.MoreRanksThanEsts/kmer",
+    "Degenerate.SingleRankRoutesToLocalPipeline/kmer",
     # The GST walk's exact record stream, tie order included; the cluster
     # goldens see that order only through union-find skips.
     "gst/PairGenerator.GoldenPairStream",
@@ -83,7 +92,6 @@ REQUIRED_TESTS = (
     "Fasta.RejectsEmptyRecord",
     "bench_smoke_gst",
     "bench_smoke_kmer",
-    "bench_smoke_fm",
     # SIMD kernel gates: the wall-clock speedup floor and the forced-scalar
     # golden leg must both stay registered, or a dispatch regression could
     # hide behind whatever kernel the build host happens to pick.

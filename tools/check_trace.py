@@ -17,6 +17,10 @@ Checks that the trace is well-formed Chrome trace-event JSON:
 
 When a breakdown report is given, also checks it mentions the
 per-component phase names used by Table 3 of the paper.
+
+Both phase checks describe the GST pipeline (the default --pair-source).
+A kmer run builds no forest, so it has no partitioning or gst_build span
+(DESIGN.md §11) and fails them by design.
 """
 
 import argparse

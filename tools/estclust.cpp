@@ -41,9 +41,9 @@ int usage() {
          "           [--min-quality 0.8] [--min-overlap 40] [--band 8]\n"
          "           [--batchsize 60] [--ranks P]  (P > 1: simulated\n"
          "            parallel run)\n"
-         "           [--pair-source gst|kmer|fm]  (candidate filter: GST\n"
-         "            walk, k-mer inverted index, or FM-index; clusters\n"
-         "            are identical across backends)\n"
+         "           [--pair-source gst|kmer]  (candidate filter: GST\n"
+         "            walk or k-mer inverted index; clusters are\n"
+         "            identical across backends)\n"
          "           [--trace trace.json] [--breakdown report.txt]\n"
          "           [--profile[=prof.json]] [--metrics]\n"
          "           [--check off|warn|strict]  (Chrome trace, phase\n"
@@ -109,7 +109,7 @@ pace::PaceConfig cluster_config(const CliArgs& args) {
   const std::string source = args.get_string("pair-source", "gst");
   const auto backend = pairgen::parse_backend(source);
   ESTCLUST_CHECK_MSG(backend.has_value(),
-                     "--pair-source must be gst, kmer or fm (got '"
+                     "--pair-source must be gst or kmer (got '"
                          << source << "')");
   cfg.pair_source = *backend;
   return cfg;
