@@ -1,11 +1,12 @@
-// Alignment hot-path microbench: virtual-time work units (DP cells) per
-// accepted pair under the three engine configurations, plus the per-kernel
-// "area of computation" table behind §3.3's banding claim.
+// Alignment microbench: virtual-time work units (DP cells) per accepted
+// pair with the exact and the bounded kernel, plus the per-kernel "area of
+// computation" table behind §3.3's banding claim.
 //
 // Work is counted in DP cells — the unit the LogP cost model charges — so
 // every number here is deterministic and byte-reproducible, and the
-// bench_smoke ctest can assert the hot-path speedup (and its non-
-// regression against tests/data/bench_baseline.json) exactly.
+// bench_smoke ctest can assert that the bounded kernel does no more work
+// than the exact one (and pin both against
+// tests/data/bench_baseline.json) exactly.
 
 #include "bench/common.hpp"
 
@@ -59,14 +60,14 @@ int main(int argc, char** argv) {
   const std::size_t n = scaled(
       static_cast<std::size_t>(args.get_int("ests", 600)), scale);
 
-  // --- Engine comparison: the same clustering run under three configs. ---
+  // --- Engine comparison: the same clustering run under both kernels. ---
   Reporter engine("align_micro",
                   {"mode", "pairs", "accepted", "dp cells",
                    "cells per accepted", "speedup vs exact"},
                   args);
   if (!engine.json_mode()) {
-    print_header("Alignment hot-path engine: work units per accepted pair",
-                 "Section 3.3 (banded extension) + hot-path memo/bounding");
+    print_header("Alignment engine: work units per accepted pair",
+                 "Section 3.3 (banded extension) + bounded early exit");
     std::cout << "ESTs: " << n
               << "  (cells = LogP-charged DP work units; identical clusters "
                  "in every mode)\n\n";
@@ -76,16 +77,13 @@ int main(int argc, char** argv) {
 
   struct Mode {
     const char* name;
-    bool bounded, memo;
+    bool bounded;
   };
   double exact_cpa = 0.0;
   std::size_t exact_clusters = 0;
-  for (const Mode mode : {Mode{"exact", false, false},
-                          Mode{"bounded", true, false},
-                          Mode{"bounded+memo", true, true}}) {
+  for (const Mode mode : {Mode{"exact", false}, Mode{"bounded", true}}) {
     auto cfg = bench_pace_config();
     cfg.bounded_align = mode.bounded;
-    cfg.memo = mode.memo;
     // cluster_skip off: every emission of the promising-pair stream goes
     // through the aligner, exactly like the slaves' unsolicited batches
     // and the stale tail of large grants. This isolates the engine from
@@ -138,9 +136,8 @@ int main(int argc, char** argv) {
   kernels.print(std::cout);
   if (!kernels.json_mode()) {
     std::cout << "\nExpected shape: bounded mode cuts cells on rejected "
-              << "pairs; the memo removes\nrepeat pair alignments entirely; "
-              << "clusters never change. Banding turns the\nquadratic full "
-              << "matrix into a linear strip.\n";
+              << "pairs; clusters never\nchange. Banding turns the "
+              << "quadratic full matrix into a linear strip.\n";
   }
 
   // --- Wall-clock: scalar vs SIMD band sweeps on the same pair set. ---

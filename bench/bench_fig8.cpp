@@ -22,13 +22,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.get_int("ests", 1000)), scale);
   const int p = static_cast<int>(args.get_int("p", 32));
 
-  // Each batchsize is run twice: with the multiplier frozen (the paper's
-  // fixed-batch protocol) and with adaptive batching enabled, so the
-  // before/after effect of the hot-path flow control is visible at every
-  // point of the sweep.
-  Reporter table("fig8",
-                 {"batchsize", "run-time fixed", "run-time adaptive",
-                  "msgs fixed", "msgs adaptive", "pairs aligned"},
+  Reporter table("fig8", {"batchsize", "run-time", "msgs", "pairs aligned"},
                  args);
   if (!table.json_mode()) {
     print_header("Figure 8: run-time vs batchsize",
@@ -39,22 +33,14 @@ int main(int argc, char** argv) {
   auto wl = sim::generate(bench_workload_config(n));
 
   for (std::size_t batch : {1, 2, 4, 10, 20, 40, 60, 80}) {
-    auto cfg_fixed = bench_pace_config();
-    cfg_fixed.batchsize = batch;
-    cfg_fixed.adaptive_batch = false;
-    auto fixed = run_parallel_obs(wl.ests, cfg_fixed, p);
-    auto cfg_adaptive = cfg_fixed;
-    cfg_adaptive.adaptive_batch = true;
-    auto adaptive = run_parallel_obs(wl.ests, cfg_adaptive, p);
+    auto cfg = bench_pace_config();
+    cfg.batchsize = batch;
+    auto run = run_parallel_obs(wl.ests, cfg, p);
     table.add_row(
         {TablePrinter::fmt(static_cast<std::uint64_t>(batch)),
-         TablePrinter::fmt(fixed.result.stats.t_total, 3),
-         TablePrinter::fmt(adaptive.result.stats.t_total, 3),
-         TablePrinter::fmt(
-             fixed.metrics.counter_value("mpr.messages_sent")),
-         TablePrinter::fmt(
-             adaptive.metrics.counter_value("mpr.messages_sent")),
-         TablePrinter::fmt(adaptive.result.stats.pairs_processed)});
+         TablePrinter::fmt(run.result.stats.t_total, 3),
+         TablePrinter::fmt(run.metrics.counter_value("mpr.messages_sent")),
+         TablePrinter::fmt(run.result.stats.pairs_processed)});
   }
   table.print(std::cout);
 

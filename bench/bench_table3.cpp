@@ -7,7 +7,9 @@
 //
 // Per-component rows come from the runtime's merged MetricsRegistry (the
 // pace.t_* gauges published by the pipeline), not ad-hoc timers, so this
-// bench doubles as an end-to-end check of the observability plumbing.
+// bench doubles as an end-to-end check of the observability plumbing. The
+// msgs column counts every message sent by every rank; bench_smoke pins
+// it against tests/data/bench_baseline.json.
 
 #include "bench/common.hpp"
 
@@ -21,7 +23,7 @@ int main(int argc, char** argv) {
 
   Reporter table("table3",
                  {"p", "partitioning", "GST build", "node sorting",
-                  "alignment loop", "total"},
+                  "alignment loop", "total", "msgs"},
                  args);
   if (!table.json_mode()) {
     print_header("Table 3: per-component times vs processor count",
@@ -41,50 +43,15 @@ int main(int argc, char** argv) {
                    TablePrinter::fmt(m.gauge_value("pace.t_gst"), 3),
                    TablePrinter::fmt(m.gauge_value("pace.t_sort"), 3),
                    TablePrinter::fmt(m.gauge_value("pace.t_align"), 3),
-                   TablePrinter::fmt(m.gauge_value("pace.t_total"), 3)});
+                   TablePrinter::fmt(m.gauge_value("pace.t_total"), 3),
+                   TablePrinter::fmt(m.counter_value("mpr.messages_sent"))});
   }
   table.print(std::cout);
   if (!table.json_mode()) {
-    std::cout << "\nExpected shape: each column shrinks as p grows; GST "
-              << "construction and the\nalignment loop dominate, as in the "
-              << "paper's Table 3.\n";
-  }
-
-  // Interaction volume, legacy engine vs the hot path (memo + bounded
-  // kernel + adaptive batching). Adaptive batching grows the per-slave
-  // grant while redundancy is low, so the hot path must close each run in
-  // no more master<->slave messages than the fixed-batch legacy config.
-  Reporter msgs("table3_messages",
-                {"p", "msgs legacy", "msgs hotpath", "t legacy",
-                 "t hotpath"},
-                args);
-  if (!msgs.json_mode()) {
-    std::cout << "\nTotal messages (all ranks), legacy vs hot-path "
-              << "engine:\n\n";
-  }
-  for (int p : {8, 16, 32, 64, 128}) {
-    auto legacy_cfg = cfg;
-    legacy_cfg.memo = false;
-    legacy_cfg.bounded_align = false;
-    legacy_cfg.adaptive_batch = false;
-    auto legacy = run_parallel_obs(wl.ests, legacy_cfg, p);
-    auto hot = run_parallel_obs(wl.ests, cfg, p);
-    msgs.add_row(
-        {TablePrinter::fmt(static_cast<std::uint64_t>(p)),
-         TablePrinter::fmt(
-             legacy.metrics.counter_value("mpr.messages_sent")),
-         TablePrinter::fmt(hot.metrics.counter_value("mpr.messages_sent")),
-         TablePrinter::fmt(
-             legacy.metrics.gauge_value("pace.t_total"), 3),
-         TablePrinter::fmt(hot.metrics.gauge_value("pace.t_total"), 3)});
-  }
-  msgs.print(std::cout);
-  if (!msgs.json_mode()) {
-    std::cout << "\nExpected shape: the hot path sends fewer messages than "
-              << "the legacy\nconfiguration at every p. At small p it may "
-              << "trade a few percent of virtual\ntime for that (larger "
-              << "grants act on staler cluster state); at large p the\n"
-              << "saved interactions win outright.\n";
+    std::cout << "\nExpected shape: each time column shrinks as p grows; "
+              << "GST construction and\nthe alignment loop dominate, as in "
+              << "the paper's Table 3. msgs grows with p:\nevery slave adds "
+              << "its own master interactions.\n";
   }
   return 0;
 }

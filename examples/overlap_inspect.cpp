@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
   pairgen::PairGenerator gen(ests, forest, psi);
 
   pace::PaceConfig cfg;  // exact alignments: rejected rows show full spans
-  cfg.memo = cfg.bounded_align = false;
+  cfg.bounded_align = false;
   pace::PairAligner aligner(ests, cfg);
   std::cout << "Strongest promising pairs (decreasing maximal common "
             << "substring length):\n\n";

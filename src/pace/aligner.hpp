@@ -1,11 +1,12 @@
 // Bridges promising pairs to the anchored alignment kernel.
 #pragma once
 
+#include <cstdint>
+
 #include "align/anchored.hpp"
 #include "align/kernel.hpp"
 #include "bio/dataset.hpp"
 #include "pace/config.hpp"
-#include "pace/memo.hpp"
 #include "pairgen/generator.hpp"
 
 namespace estclust::pace {
@@ -14,28 +15,33 @@ namespace estclust::pace {
 struct PairEvaluation {
   align::OverlapResult overlap;  ///< cells == DP cells computed THIS call
   bool accepted = false;
-  bool memo_hit = false;  ///< served from the memo cache (0 new DP cells)
+};
+
+/// Always zero: nothing caches verdicts. Kept only because the per-layer
+/// benchmark (bench/layers) still reads `memo_stats()` for its
+/// align.memo_hit_ratio metric; both go together when that benchmark
+/// drops the metric.
+struct MemoStats {
+  std::uint64_t lookups = 0, hits = 0;
 };
 
 /// Runs the anchored banded alignment of §3.3 on a pair: string a is the
 /// forward orientation of EST pair.a; string b is EST pair.b in the
 /// orientation recorded by the generator; the maximal common substring
 /// found by the pair source is the anchor. One per slave or local driver.
-/// Owns the DP arena (zero allocations per pair once warm) and the
-/// alignment memo, and applies the bounded kernel when the config allows.
-/// With `memo` and `bounded_align` off every call is the exact alignment.
-/// Either switch keeps every verdict; it saves DP cells and may report a
-/// truncated or cached overlap for a rejected pair.
+/// Owns the DP arena (zero allocations per pair once warm) and applies
+/// the bounded kernel when the config allows. With `bounded_align` off
+/// every call is the exact alignment; with it on every verdict is the
+/// same, but a rejected pair may cost fewer DP cells and report a
+/// truncated overlap.
 class PairAligner {
  public:
   PairAligner(const bio::EstSet& ests, const PaceConfig& cfg)
-      : ests_(ests),
-        cfg_(cfg),
-        memo_(cfg.memo ? cfg.memo_capacity : 0) {}
+      : ests_(ests), cfg_(cfg) {}
 
   PairEvaluation evaluate(const pairgen::PromisingPair& pair);
 
-  const MemoStats& memo_stats() const { return memo_.stats(); }
+  MemoStats memo_stats() const { return {}; }
 
   /// Scratch-arena introspection (feeds the align.arena_bytes gauge).
   const align::AlignArena& arena() const { return arena_; }
@@ -44,7 +50,6 @@ class PairAligner {
   const bio::EstSet& ests_;
   const PaceConfig& cfg_;
   align::AlignArena arena_;
-  AlignMemo memo_;
 };
 
 }  // namespace estclust::pace

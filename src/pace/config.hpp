@@ -23,31 +23,23 @@ struct PaceConfig {
 
   align::OverlapParams overlap;  ///< banded alignment + acceptance knobs
 
-  /// Pairs dispatched to a slave per interaction (paper: 40-60 optimal).
+  /// Pairs the master grants a slave per interaction, and the unit of its
+  /// pair requests (paper: 40-60 optimal). The sequential drivers process
+  /// the pair stream in batches of this size.
   std::size_t batchsize = 60;
 
-  /// Alignment hot path (kernel.hpp / memo.hpp). `bounded_align` lets the
-  /// DP kernel stop as soon as rejection is certain; `memo` caches verdicts
-  /// per EST pair so re-generated pairs skip the DP when serving the cache
-  /// cannot change the clustering. Both are verdict-exact: clusters are
-  /// identical with any combination of these flags.
+  /// Lets the DP kernel stop as soon as rejection is certain (kernel.hpp).
+  /// Verdict-exact: clusters are identical with it on or off; only the DP
+  /// cells charged for rejected pairs differ.
   bool bounded_align = true;
-  bool memo = true;
-  std::size_t memo_capacity = 1 << 12;  ///< cap on cached rejected entries
 
-  /// Adaptive batching: the master scales a slave's next work grant and
-  /// pair request by a per-slave multiplier in [1, batch_growth_limit],
-  /// growing it while observed redundancy (skipped pairs + memo hits) is
-  /// low and shrinking it when redundancy is high. Fewer interactions means
-  /// fewer messages under the virtual-time model.
-  bool adaptive_batch = true;
-  std::size_t batch_growth_limit = 2;
-
-  /// Capacity of the master's WORKBUF in pairs.
+  /// Capacity of the master's WORKBUF in pairs. cluster_parallel raises it
+  /// to at least 4 * p * batchsize.
   std::size_t workbuf_capacity = 1 << 14;
 
   /// Target fill of a slave's PAIRBUF (pairs generated ahead while the
-  /// slave would otherwise wait for the master).
+  /// slave would otherwise wait for the master). cluster_parallel raises
+  /// it to at least batchsize.
   std::size_t pairbuf_capacity = 2048;
 
   void validate() const;

@@ -10,7 +10,7 @@
 // pair generation over them is filtered to pairs that involve at least
 // one new EST — any old-old pair was already considered when its later
 // member arrived. The rest go through the batch drivers' loop (loop.hpp)
-// into the persistent union-find, so `cfg.pair_source`, `memo` and
+// into the persistent union-find, so `cfg.pair_source` and
 // `bounded_align` apply here too.
 //
 // Guarantee (tested): after any sequence of batches the clustering equals

@@ -19,7 +19,6 @@ void ClusterLoop::run(const std::vector<pairgen::PromisingPair>& batch,
       continue;
     }
     PairEvaluation ev = aligner.evaluate(p);
-    // Memo hits report 0 cells: no DP ran, so nothing is charged.
     if (comm) comm->charge(comm->cost_model().dp_cell, ev.overlap.cells);
     ++stats.pairs_processed;
     stats.dp_cells += ev.overlap.cells;
@@ -64,11 +63,6 @@ void publish_aligner_metrics(mpr::Communicator& comm,
                              const PairAligner& aligner,
                              std::uint64_t pairs_aligned) {
   auto& metrics = comm.metrics();
-  const MemoStats& memo = aligner.memo_stats();
-  metrics.counter("pace.memo_lookups").add(memo.lookups);
-  metrics.counter("pace.memo_hits").add(memo.hits);
-  metrics.counter("pace.memo_insertions").add(memo.insertions);
-  metrics.counter("pace.memo_evictions").add(memo.evictions);
   const align::KernelVariant kv = align::active_kernel();
   metrics.counter(std::string("kernel.variant.") + align::to_string(kv))
       .add(pairs_aligned);

@@ -63,10 +63,10 @@ std::unique_ptr<pairgen::PairSource> make_bucket_source(
     const bio::EstSet& ests, const PaceConfig& cfg, int p,
     int first_owner_rank, int rank, mpr::Communicator* comm);
 
-/// Publishes one rank's aligner observability (pace.memo_* counters,
-/// `pairs_aligned` under kernel.variant.<active variant>, the
-/// align.arena_bytes gauge, a kernel.variant trace instant). Charges
-/// nothing: every modeled quantity is variant-invariant.
+/// Publishes one rank's aligner observability (`pairs_aligned` under
+/// kernel.variant.<active variant>, the align.arena_bytes gauge, a
+/// kernel.variant trace instant). Charges nothing: every modeled quantity
+/// is variant-invariant.
 void publish_aligner_metrics(mpr::Communicator& comm,
                              const PairAligner& aligner,
                              std::uint64_t pairs_aligned);

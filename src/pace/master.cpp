@@ -31,8 +31,7 @@ Master::Master(mpr::Communicator& comm, const bio::EstSet& ests,
       inflight_(comm.size()),
       assign_sent_(comm.size(), -1.0),
       last_reported_(comm.size(), 0),
-      last_admitted_(comm.size(), 0),
-      multiplier_(comm.size(), 1) {
+      last_admitted_(comm.size(), 0) {
   ESTCLUST_CHECK_MSG(num_slaves_ >= 1, "master requires at least one slave");
 }
 
@@ -62,26 +61,6 @@ void Master::process_report(int slave, const ReportMsg& msg) {
   last_admitted_[slave] = admitted;
   passive_[slave] = msg.out_of_pairs;
 
-  // Adaptive batching: while a slave's recent traffic shows little
-  // redundancy (few pairs filtered here, few memo hits there), larger
-  // grants are safe — the staleness cost of acting on old cluster state is
-  // evidently low — and each interaction saved is two messages saved.
-  // High redundancy walks the multiplier back toward the paper's
-  // batchsize.
-  if (cfg_.adaptive_batch) {
-    const std::uint64_t skipped = msg.pairs.size() - admitted;
-    const std::uint64_t redundant = skipped + msg.memo_hits;
-    const std::uint64_t denom = msg.pairs.size() + msg.memo_lookups;
-    std::size_t& mul = multiplier_[slave];
-    if (denom > 0) {
-      if (redundant * 4 <= denom) {  // < 25% redundant: double the grant
-        mul = std::min(mul * 2, cfg_.batch_growth_limit);
-      } else if (redundant * 2 >= denom) {  // > 50% redundant: walk back
-        mul = mul > 1 ? mul / 2 : 1;
-      }
-    }
-  }
-
   // Charge union-find work incurred since the last report.
   std::uint64_t ops = clusters_.operations();
   comm_.charge(comm_.cost_model().uf_op, ops - uf_ops_charged_);
@@ -106,10 +85,6 @@ std::uint64_t Master::admit_pairs(
   return admitted;
 }
 
-std::size_t Master::effective_batch(int slave) const {
-  return cfg_.batchsize * multiplier_[slave];
-}
-
 std::uint64_t Master::compute_request(int slave) const {
   if (passive_[slave]) return 0;
   const double reported = static_cast<double>(last_reported_[slave]);
@@ -125,15 +100,14 @@ std::uint64_t Master::compute_request(int slave) const {
           ? cfg_.workbuf_capacity - workbuf_.size()
           : 0);
   const double e = std::min(
-      delta_ratio * delta_factor *
-          static_cast<double>(effective_batch(slave)),
+      delta_ratio * delta_factor * static_cast<double>(cfg_.batchsize),
       nfree / static_cast<double>(num_slaves_));
   return static_cast<std::uint64_t>(std::max(0.0, e));
 }
 
-std::vector<pairgen::PromisingPair> Master::take_work(int slave) {
+std::vector<pairgen::PromisingPair> Master::take_work() {
   std::vector<pairgen::PromisingPair> work;
-  const std::size_t w = std::min(effective_batch(slave), workbuf_.size());
+  const std::size_t w = std::min(cfg_.batchsize, workbuf_.size());
   work.reserve(w);
   for (std::size_t i = 0; i < w; ++i) {
     work.push_back(workbuf_.front());
@@ -169,7 +143,7 @@ void Master::sample_report_latency(int slave) {
 
 void Master::reply(int slave) {
   AssignMsg assign;
-  assign.work = take_work(slave);
+  assign.work = take_work();
   assign.request = compute_request(slave);
   if (assign.work.empty() && assign.request == 0) {
     // Nothing to do and nothing to ask for: park the slave (§3.3 wait
@@ -187,7 +161,7 @@ void Master::drain_wait_queue() {
     int slave = wait_queue_.front();
     wait_queue_.pop_front();
     AssignMsg assign;
-    assign.work = take_work(slave);
+    assign.work = take_work();
     assign.request = compute_request(slave);
     send_assign(slave, assign);
   }
@@ -411,12 +385,6 @@ void Master::run() {
   if (dup_reports_ignored_ > 0) {
     metrics.counter("pace.dup_reports_ignored").add(dup_reports_ignored_);
   }
-  std::size_t max_mul = 1;
-  for (int s = 1; s <= num_slaves_; ++s) {
-    max_mul = std::max(max_mul, multiplier_[s]);
-  }
-  metrics.gauge("pace.batch_multiplier_max", obs::MergeOp::kMax)
-      .set(static_cast<double>(max_mul));
 }
 
 }  // namespace estclust::pace

@@ -1,6 +1,7 @@
 // The master processor (§3.3): owns CLUSTERS (union-find) and WORKBUF,
-// selects which promising pairs are worth aligning, and flow-controls the
-// slaves' pair generation with the E = min(Δ·δ·batchsize, nfree/p) rule.
+// selects which promising pairs are worth aligning, grants each slave at
+// most `batchsize` of them per interaction, and flow-controls the slaves'
+// pair generation with the E = min(Δ·δ·batchsize, nfree/p) rule.
 #pragma once
 
 #include <cstdint>
@@ -61,11 +62,8 @@ class Master {
   void reply(int slave);
   void drain_wait_queue();
   std::uint64_t compute_request(int slave) const;
-  std::vector<pairgen::PromisingPair> take_work(int slave);
+  std::vector<pairgen::PromisingPair> take_work();
   bool all_waiting() const;
-  /// This slave's current grant/request unit: batchsize scaled by the
-  /// adaptive per-slave multiplier.
-  std::size_t effective_batch(int slave) const;
   /// Stamps the reliable-mode sequence number, retains non-empty work as
   /// in-flight, sends, and marks the slave kExpectingReport.
   void send_assign(int slave, AssignMsg& assign);
@@ -116,10 +114,6 @@ class Master {
   // Per-slave P and P' of the latest report, for the Δ = P/P' factor.
   std::vector<std::uint64_t> last_reported_;
   std::vector<std::uint64_t> last_admitted_;
-  // Adaptive batching (config.hpp): per-slave batch multiplier in
-  // [1, batch_growth_limit], steered by the redundancy observed in each
-  // report (skipped pairs + memo hits vs pairs + lookups).
-  std::vector<std::size_t> multiplier_;
   std::uint64_t uf_ops_charged_ = 0;
   std::vector<AcceptedOverlap> overlaps_;
 };

@@ -29,13 +29,10 @@ obs::ProfileOptions profile_options() {
 mpr::Buffer encode_report(const ReportMsg& m, bool reliable) {
   mpr::BufWriter w;
   w.reserve(vec_bytes(m.results) + vec_bytes(m.pairs) + sizeof(std::uint8_t) +
-            2 * sizeof(std::uint64_t) +
             (reliable ? 3 * sizeof(std::uint64_t) : 0));
   w.put_vec(m.results);
   w.put_vec(m.pairs);
   w.put<std::uint8_t>(m.out_of_pairs ? 1 : 0);
-  w.put<std::uint64_t>(m.memo_lookups);
-  w.put<std::uint64_t>(m.memo_hits);
   if (reliable) {
     w.put<std::uint64_t>(m.seq);
     w.put<std::uint64_t>(m.results_for_seq);
@@ -50,8 +47,6 @@ ReportMsg decode_report(const mpr::Buffer& b, bool reliable) {
   m.results = r.get_vec<WireResult>();
   m.pairs = r.get_vec<pairgen::PromisingPair>();
   m.out_of_pairs = r.get<std::uint8_t>() != 0;
-  m.memo_lookups = r.get<std::uint64_t>();
-  m.memo_hits = r.get<std::uint64_t>();
   if (reliable) {
     m.seq = r.get<std::uint64_t>();
     m.results_for_seq = r.get<std::uint64_t>();

@@ -1,8 +1,8 @@
 // Wire formats of the master/slave protocol (§3.3).
 //
 // One interaction is: slave -> master REPORT {R results, P promising
-// pairs, out-of-pairs flag, memo-cache counters}; master -> slave ASSIGN
-// {W pairs to align, E pairs to bring next time, stop flag}. Everything a
+// pairs, out-of-pairs flag}; master -> slave ASSIGN {W pairs to align, E
+// pairs to bring next time, stop flag}. Everything a
 // peer owes rides one coalesced, explicitly-serialized message per
 // direction — there is no separate STOP message: the final ASSIGN carries
 // stop = 1 and the slave answers with its final (possibly empty) REPORT.
@@ -12,7 +12,7 @@
 // numbers so duplicated deliveries are idempotent, the master
 // acknowledges each fresh REPORT on kTagAck, and a dying slave announces
 // itself on kTagHeartbeat. The extra fields are serialized only in
-// reliable mode, so fault-free wire bytes are identical to the seed's.
+// reliable mode, so a fault-free run carries no sequence numbers.
 #pragma once
 
 #include <cstdint>
@@ -70,12 +70,8 @@ struct ReportMsg {
   std::vector<WireResult> results;           ///< R
   std::vector<pairgen::PromisingPair> pairs; ///< P
   bool out_of_pairs = false;
-  // Memo-cache activity since the previous report; the master's adaptive
-  // batching reads these as its redundancy signal.
-  std::uint64_t memo_lookups = 0;
-  std::uint64_t memo_hits = 0;
   // Reliable-mode fields (serialized only when `reliable` is passed to the
-  // codec; fault-free wire bytes are unchanged).
+  // codec).
   std::uint64_t seq = 0;  ///< per-slave report number, from 1; dedup key
   /// Seq of the ASSIGN whose work produced `results` (0 = the slave's own
   /// startup portion). The master releases the matching retained in-flight

@@ -66,11 +66,13 @@ ParallelResult cluster_parallel(mpr::Communicator& comm,
   }
 
   // Keep the soft WORKBUF cap comfortably above the slaves' unsolicited
-  // initial batches so flow control starts in steady state.
+  // initial batches so flow control starts in steady state, and let a
+  // slave's PAIRBUF hold at least one grant.
   PaceConfig effective = cfg;
   effective.workbuf_capacity =
       std::max(cfg.workbuf_capacity,
                4 * static_cast<std::size_t>(comm.size()) * cfg.batchsize);
+  effective.pairbuf_capacity = std::max(cfg.pairbuf_capacity, cfg.batchsize);
 
   ParallelResult res;
   PaceStats& st = res.stats;

@@ -16,10 +16,6 @@ void PaceConfig::validate() const {
   ESTCLUST_CHECK_MSG(psi >= gst.window,
                      "psi must be >= the GST window w");
   ESTCLUST_CHECK(batchsize > 0);
-  ESTCLUST_CHECK(workbuf_capacity >= batchsize);
-  ESTCLUST_CHECK(pairbuf_capacity >= batchsize);
-  ESTCLUST_CHECK(batch_growth_limit >= 1);
-  if (memo) ESTCLUST_CHECK(memo_capacity >= 1);
 }
 
 SequentialResult cluster_sequential(const bio::EstSet& ests,

@@ -72,8 +72,6 @@ std::vector<WireResult> Slave::align_all(
   results.reserve(work.size());
   for (const auto& p : work) {
     PairEvaluation ev = aligner_.evaluate(p);
-    // Memo hits report 0 cells: no DP ran, so no virtual time is charged —
-    // that saving is the cache's whole point.
     comm_.charge(comm_.cost_model().dp_cell, ev.overlap.cells);
     ++counters_.pairs_aligned;
     counters_.dp_cells += ev.overlap.cells;
@@ -91,14 +89,6 @@ std::vector<WireResult> Slave::align_all(
     results.push_back(r);
   }
   return results;
-}
-
-void Slave::attach_memo_counters(ReportMsg& m) {
-  const MemoStats& s = aligner_.memo_stats();
-  m.memo_lookups = s.lookups - memo_lookups_reported_;
-  m.memo_hits = s.hits - memo_hits_reported_;
-  memo_lookups_reported_ = s.lookups;
-  memo_hits_reported_ = s.hits;
 }
 
 void Slave::send_report(ReportMsg& m, std::uint64_t results_for_seq) {
@@ -222,7 +212,6 @@ SlaveCounters Slave::run() {
   initial.results = align_all(portion1);
   initial.pairs = std::move(portion3);
   initial.out_of_pairs = out_of_pairs();
-  attach_memo_counters(initial);
   // Death checkpoint C1b: the startup work pushed the clock past the
   // death time — the initial report never ships.
   if (maybe_die()) return finish(loop_start);
@@ -261,7 +250,6 @@ SlaveCounters Slave::run() {
     report.results = std::move(results);
     report.pairs = take_pairs(assign.request);
     report.out_of_pairs = out_of_pairs();
-    attach_memo_counters(report);
     send_report(report, results_seq);
 
     if (assign.stop) {

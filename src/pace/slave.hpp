@@ -1,7 +1,7 @@
 // A slave processor (§3.3): generates promising pairs on demand from its
 // local share of the workload — via the configured PairSource backend —
-// and aligns the pair batches the master assigns, overlapping generation
-// with the wait for the master's reply.
+// and aligns exactly the pair batches the master assigns, overlapping
+// generation with the wait for the master's reply.
 #pragma once
 
 #include <array>
@@ -23,7 +23,7 @@ namespace estclust::pace {
 /// Slave-side counters.
 struct SlaveCounters {
   std::uint64_t pairs_generated = 0;  ///< emitted by the local pair source
-  std::uint64_t pairs_aligned = 0;    ///< evaluated (memo hits included)
+  std::uint64_t pairs_aligned = 0;    ///< pairs evaluated by the aligner
   std::uint64_t dp_cells = 0;
   double sort_vtime = 0.0;   ///< node sorting / index build (source setup)
   double loop_vtime = 0.0;   ///< interaction loop (alignment-dominated)
@@ -54,8 +54,6 @@ class Slave {
   void top_up_pairbuf(std::size_t target);
   std::vector<pairgen::PromisingPair> take_pairs(std::size_t count);
   bool out_of_pairs() const;
-  /// Stamps the memo counters accumulated since the previous report.
-  void attach_memo_counters(ReportMsg& m);
   /// Sends `m` (reliable mode stamps seq / results_for_seq / ack fields).
   void send_report(ReportMsg& m, std::uint64_t results_for_seq);
   /// Blocking receive of the next *fresh* assignment, skipping duplicated
@@ -81,8 +79,6 @@ class Slave {
   PairAligner aligner_;
   std::deque<pairgen::PromisingPair> pairbuf_;
   SlaveCounters counters_;
-  std::uint64_t memo_lookups_reported_ = 0;
-  std::uint64_t memo_hits_reported_ = 0;
   // Reliable-mode protocol state (see messages.hpp): unused when no fault
   // plan is installed.
   bool reliable_ = false;

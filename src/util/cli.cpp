@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 #include "util/check.hpp"
@@ -12,6 +13,19 @@ bool looks_like_value(const std::string& s) {
   // "--x -3" must treat -3 as a value, not a flag.
   if (s.rfind("--", 0) != 0) return true;
   return s.size() > 2 && (std::isdigit(static_cast<unsigned char>(s[2])) != 0);
+}
+
+/// Parses all of `text` as a T; a bad value names the flag it came from.
+template <typename T>
+T parse_value(const std::string& name, const std::string& text,
+              const char* expected) {
+  T out{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  ESTCLUST_CHECK_MSG(ec == std::errc() && ptr == end,
+                     "--" << name << " expects " << expected << " (got '"
+                          << text << "')");
+  return out;
 }
 }  // namespace
 
@@ -56,13 +70,13 @@ std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   auto v = get(name);
   if (!v) return fallback;
-  return std::stoll(*v);
+  return parse_value<std::int64_t>(name, *v, "an integer");
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
   auto v = get(name);
   if (!v) return fallback;
-  return std::stod(*v);
+  return parse_value<double>(name, *v, "a number");
 }
 
 std::int64_t CliArgs::env_int(const std::string& name, std::int64_t fallback) {

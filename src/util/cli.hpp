@@ -23,6 +23,8 @@ class CliArgs {
 
   std::string get_string(const std::string& name,
                          const std::string& fallback) const;
+  /// Parse the whole value; throw CheckError naming the flag and the value
+  /// when it is not a number ("abc", "12x", out of range).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
 

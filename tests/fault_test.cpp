@@ -154,8 +154,6 @@ pace::ReportMsg sample_report() {
   p.match_len = 30;
   m.pairs.push_back(p);
   m.out_of_pairs = true;
-  m.memo_lookups = 5;
-  m.memo_hits = 2;
   m.seq = 9;
   m.results_for_seq = 4;
   m.ack_assign_seq = 4;

@@ -1,6 +1,6 @@
 // End-to-end golden tests: checked-in FASTA fixtures must produce
 // byte-identical canonical clusterings AND byte-identical modeled
-// run-times at every rank count, with the memo cache on or off.
+// run-times at every rank count.
 //
 // These lock the whole pipeline (GST -> pair generation -> master/slave
 // protocol -> alignment verdicts -> virtual-time accounting): any change
@@ -106,10 +106,9 @@ struct GoldenRun {
   std::vector<pace::AcceptedOverlap> overlaps;
 };
 
-GoldenRun run_fixture(const bio::EstSet& ests, int ranks, bool memo,
+GoldenRun run_fixture(const bio::EstSet& ests, int ranks,
                       const mpr::FaultSpec* faults = nullptr) {
-  pace::PaceConfig cfg = golden_config();
-  cfg.memo = memo;
+  const pace::PaceConfig cfg = golden_config();
   GoldenRun out;
   std::mutex mu;
   mpr::Runtime rt(ranks, mpr::CostModel{});
@@ -122,7 +121,7 @@ GoldenRun run_fixture(const bio::EstSet& ests, int ranks, bool memo,
       std::lock_guard<std::mutex> lock(mu);
       out.clusters = cluster::canonical_partition(res.labels);
       std::ostringstream line;
-      line << "ranks=" << ranks << " memo=" << (memo ? "on" : "off")
+      line << "ranks=" << ranks
            << " t_total=" << format_time(res.stats.t_total)
            << " clusters=" << res.stats.num_clusters;
       out.runtime_line = line.str();
@@ -187,22 +186,15 @@ Fixture noisy_fixture() {
 /// the incremental clusterer, fed the fixture whole or in four batches,
 /// partition for partition. Neither writes a runtimes line.
 void check_local_drivers(const bio::EstSet& ests, const std::string& clusters,
-                         const GoldenRun (&single_rank)[2]) {
-  for (bool memo : {false, true}) {
-    pace::PaceConfig cfg = golden_config();
-    cfg.memo = memo;
-    auto seq = pace::cluster_sequential(ests, cfg);
-    const GoldenRun& one = single_rank[memo ? 1 : 0];
-    const char* leg = memo ? "sequential memo=on" : "sequential memo=off";
-    EXPECT_EQ(cluster::canonical_partition(seq.clusters.labels()), clusters)
-        << leg;
-    EXPECT_EQ(seq.stats.pairs_processed, one.stats.pairs_processed) << leg;
-    EXPECT_EQ(seq.stats.pairs_skipped, one.stats.pairs_skipped) << leg;
-    EXPECT_EQ(seq.stats.pairs_accepted, one.stats.pairs_accepted) << leg;
-    EXPECT_EQ(seq.stats.merges, one.stats.merges) << leg;
-    EXPECT_EQ(seq.stats.dp_cells, one.stats.dp_cells) << leg;
-    EXPECT_TRUE(seq.overlaps == one.overlaps) << leg;
-  }
+                         const GoldenRun& one) {
+  auto seq = pace::cluster_sequential(ests, golden_config());
+  EXPECT_EQ(cluster::canonical_partition(seq.clusters.labels()), clusters);
+  EXPECT_EQ(seq.stats.pairs_processed, one.stats.pairs_processed);
+  EXPECT_EQ(seq.stats.pairs_skipped, one.stats.pairs_skipped);
+  EXPECT_EQ(seq.stats.pairs_accepted, one.stats.pairs_accepted);
+  EXPECT_EQ(seq.stats.merges, one.stats.merges);
+  EXPECT_EQ(seq.stats.dp_cells, one.stats.dp_cells);
+  EXPECT_TRUE(seq.overlaps == one.overlaps);
 
   const std::size_t n = ests.num_ests();
   for (std::size_t batches : {1, 4}) {
@@ -241,20 +233,17 @@ void check_fixture(const Fixture& fix) {
 
   std::string clusters;  // must be identical across every configuration
   std::ostringstream runtimes;
-  GoldenRun single_rank[2];  // ranks=1, indexed by memo
+  GoldenRun single_rank;
   for (int ranks : {1, 2, 4, 8}) {
-    for (bool memo : {false, true}) {
-      GoldenRun run = run_fixture(ests, ranks, memo);
-      if (clusters.empty()) {
-        clusters = run.clusters;
-      } else {
-        ASSERT_EQ(run.clusters, clusters)
-            << "partition differs at ranks=" << ranks
-            << " memo=" << (memo ? "on" : "off");
-      }
-      runtimes << run.runtime_line << '\n';
-      if (ranks == 1) single_rank[memo ? 1 : 0] = std::move(run);
+    GoldenRun run = run_fixture(ests, ranks);
+    if (clusters.empty()) {
+      clusters = run.clusters;
+    } else {
+      ASSERT_EQ(run.clusters, clusters)
+          << "partition differs at ranks=" << ranks;
     }
+    runtimes << run.runtime_line << '\n';
+    if (ranks == 1) single_rank = std::move(run);
   }
   check_local_drivers(ests, clusters, single_rank);
 
@@ -299,7 +288,7 @@ void check_faulted_fixture(const Fixture& fix) {
   };
   for (const Plan& plan : plans) {
     const mpr::FaultSpec spec = mpr::parse_fault_spec(plan.spec);
-    const GoldenRun run = run_fixture(ests, 4, /*memo=*/true, &spec);
+    const GoldenRun run = run_fixture(ests, 4, &spec);
     EXPECT_EQ(run.clusters, golden)
         << "fault plan '" << plan.label << "' (" << plan.spec
         << ") perturbed the partition of " << fix.name;

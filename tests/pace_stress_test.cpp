@@ -54,8 +54,8 @@ TEST_P(ProtocolSweep, PartitionInvariantUnderProtocolKnobs) {
   cfg.gst.window = 6;
   cfg.psi = 22;
   cfg.batchsize = batchsize;
-  cfg.pairbuf_capacity = std::max(pairbuf, batchsize);
-  cfg.workbuf_capacity = std::max<std::size_t>(64, 4 * batchsize);
+  cfg.pairbuf_capacity = pairbuf;
+  cfg.workbuf_capacity = 64;
   cfg.overlap.min_quality = 0.75;
 
   auto sequential = cluster_sequential(wl.ests, cfg).clusters.labels();

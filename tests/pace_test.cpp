@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "mpr/runtime.hpp"
-#include "pace/memo.hpp"
 #include "pace/messages.hpp"
 #include "pace/parallel.hpp"
 #include "pace/sequential.hpp"
@@ -57,8 +56,6 @@ TEST(Messages, ReportRoundTrip) {
   m.pairs.push_back({1, 2, true, 33, 7, 8});
   m.pairs.push_back({4, 6, false, 21, 0, 3});
   m.out_of_pairs = true;
-  m.memo_lookups = 57;
-  m.memo_hits = 13;
 
   ReportMsg back = decode_report(encode_report(m));
   ASSERT_EQ(back.results.size(), 1u);
@@ -70,8 +67,6 @@ TEST(Messages, ReportRoundTrip) {
   EXPECT_EQ(back.pairs[0].match_len, 33u);
   EXPECT_EQ(back.pairs[1].b, 6u);
   EXPECT_TRUE(back.out_of_pairs);
-  EXPECT_EQ(back.memo_lookups, 57u);
-  EXPECT_EQ(back.memo_hits, 13u);
 }
 
 TEST(Messages, AssignRoundTrip) {
@@ -101,8 +96,6 @@ TEST(Messages, EmptyReportRoundTrip) {
   EXPECT_TRUE(back.results.empty());
   EXPECT_TRUE(back.pairs.empty());
   EXPECT_FALSE(back.out_of_pairs);
-  EXPECT_EQ(back.memo_lookups, 0u);
-  EXPECT_EQ(back.memo_hits, 0u);
 }
 
 TEST(StartupSplit, ThreeWaySplitPinned) {
@@ -127,82 +120,6 @@ TEST(StartupSplit, ThreeWaySplitPinned) {
     EXPECT_GE(s[1], s[2]) << b;
     EXPECT_LE(s[0] - s[2], 1u) << b;
   }
-}
-
-align::OverlapResult memo_result(bool accepted) {
-  align::OverlapResult r;
-  r.kind = accepted ? align::OverlapKind::kABDovetail
-                    : align::OverlapKind::kNone;
-  r.quality = accepted ? 0.9 : 0.0;
-  return r;
-}
-
-pairgen::PromisingPair memo_pair(std::uint32_t a, std::uint32_t b,
-                                 bool b_rc = false, std::uint32_t a_pos = 10,
-                                 std::uint32_t b_pos = 4,
-                                 std::uint32_t match_len = 30) {
-  return {a, b, b_rc, match_len, a_pos, b_pos};
-}
-
-TEST(AlignMemo, DisabledNeverHits) {
-  AlignMemo memo(0);
-  memo.insert(memo_pair(1, 2), 0, memo_result(true), true);
-  EXPECT_EQ(memo.lookup(memo_pair(1, 2), 0), nullptr);
-  EXPECT_EQ(memo.stats().insertions, 0u);
-  EXPECT_EQ(memo.stats().lookups, 0u);
-}
-
-TEST(AlignMemo, AcceptedHitsAcrossAnchors) {
-  // An accepted verdict is reusable for ANY anchor of the same pair: the
-  // only downstream effect of "accepted" is unite(a, b), which is
-  // idempotent.
-  AlignMemo memo(16);
-  memo.insert(memo_pair(1, 2, false, 10, 4), 0, memo_result(true), true);
-  const AlignMemo::Entry* e =
-      memo.lookup(memo_pair(1, 2, false, 99, 7, 12), 5);
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->accepted);
-  EXPECT_EQ(memo.stats().hits, 1u);
-}
-
-TEST(AlignMemo, RejectedHitsOnlyExactAnchorWindow) {
-  // A rejection is anchor-specific: a different seed could still find an
-  // acceptable overlap, so only the exact (b_rc, window, anchor) repeat
-  // may reuse it.
-  AlignMemo memo(16);
-  memo.insert(memo_pair(1, 2, false, 10, 4, 30), 3, memo_result(false),
-              false);
-  EXPECT_NE(memo.lookup(memo_pair(1, 2, false, 10, 4, 30), 3), nullptr);
-  EXPECT_EQ(memo.lookup(memo_pair(1, 2, false, 11, 4, 30), 3), nullptr);
-  EXPECT_EQ(memo.lookup(memo_pair(1, 2, true, 10, 4, 30), 3), nullptr);
-  EXPECT_EQ(memo.lookup(memo_pair(1, 2, false, 10, 4, 30), 4), nullptr);
-  EXPECT_EQ(memo.lookup(memo_pair(1, 2, false, 10, 4, 31), 3), nullptr);
-  EXPECT_EQ(memo.stats().lookups, 5u);
-  EXPECT_EQ(memo.stats().hits, 1u);
-}
-
-TEST(AlignMemo, AcceptedNeverDisplacedByRejection) {
-  AlignMemo memo(16);
-  memo.insert(memo_pair(1, 2), 0, memo_result(true), true);
-  memo.insert(memo_pair(1, 2), 7, memo_result(false), false);
-  const AlignMemo::Entry* e = memo.lookup(memo_pair(1, 2), 9);
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->accepted);
-}
-
-TEST(AlignMemo, EvictsOnlyRejectedWhenFull) {
-  AlignMemo memo(2);
-  memo.insert(memo_pair(1, 2), 0, memo_result(true), true);
-  memo.insert(memo_pair(3, 4), 0, memo_result(false), false);
-  memo.insert(memo_pair(5, 6), 0, memo_result(false), false);
-  // The rejected FIFO is at capacity: the next rejection evicts the
-  // oldest rejected entry; the accepted entry is pinned throughout.
-  memo.insert(memo_pair(7, 8), 0, memo_result(false), false);
-  EXPECT_EQ(memo.stats().evictions, 1u);
-  EXPECT_NE(memo.lookup(memo_pair(1, 2), 3), nullptr);
-  EXPECT_EQ(memo.lookup(memo_pair(3, 4), 0), nullptr);
-  EXPECT_NE(memo.lookup(memo_pair(5, 6), 0), nullptr);
-  EXPECT_NE(memo.lookup(memo_pair(7, 8), 0), nullptr);
 }
 
 TEST(ConfigValidate, PsiBelowWindowRejected) {
@@ -251,30 +168,20 @@ TEST(Sequential, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.pairs_processed, b.stats.pairs_processed);
 }
 
-TEST(Sequential, HotPathFlagsDoNotChangePartition) {
-  // The hot-path engine is verdict-exact: memo hits and bounded early-exit
-  // may skip DP work but never flip an accept/reject decision, so every
-  // flag combination yields the identical partition.
+TEST(Sequential, BoundedKernelDoesNotChangePartition) {
+  // The bounded kernel is verdict-exact: its early exit may skip DP work
+  // but never flips an accept/reject decision, so the partition and every
+  // pair count match the exact kernel's.
   auto wl = test_workload();
-  auto baseline_cfg = test_config();
-  baseline_cfg.memo = false;
-  baseline_cfg.bounded_align = false;
-  auto base = cluster_sequential(wl.ests, baseline_cfg);
-  for (bool memo : {false, true}) {
-    for (bool bounded : {false, true}) {
-      auto cfg = test_config();
-      cfg.memo = memo;
-      cfg.bounded_align = bounded;
-      auto res = cluster_sequential(wl.ests, cfg);
-      EXPECT_EQ(res.clusters.labels(), base.clusters.labels())
-          << "memo=" << memo << " bounded=" << bounded;
-      EXPECT_EQ(res.stats.pairs_accepted, base.stats.pairs_accepted)
-          << "memo=" << memo << " bounded=" << bounded;
-      // Skipping work can only reduce the cell count, never raise it.
-      EXPECT_LE(res.stats.dp_cells, base.stats.dp_cells)
-          << "memo=" << memo << " bounded=" << bounded;
-    }
-  }
+  auto exact_cfg = test_config();
+  exact_cfg.bounded_align = false;
+  auto exact = cluster_sequential(wl.ests, exact_cfg);
+  auto bounded = cluster_sequential(wl.ests, test_config());
+  EXPECT_EQ(bounded.clusters.labels(), exact.clusters.labels());
+  EXPECT_EQ(bounded.stats.pairs_processed, exact.stats.pairs_processed);
+  EXPECT_EQ(bounded.stats.pairs_accepted, exact.stats.pairs_accepted);
+  // Skipping work can only reduce the cell count, never raise it.
+  EXPECT_LE(bounded.stats.dp_cells, exact.stats.dp_cells);
 }
 
 TEST(Sequential, OrderedProcessingAlignsFewerPairsThanArbitrary) {
@@ -451,30 +358,18 @@ TEST(Parallel, SmallBatchsizeStillCorrect) {
   EXPECT_EQ(labels, seq_labels);
 }
 
-TEST(Parallel, HotPathFlagsDoNotChangePartition) {
-  // Same verdict-exactness claim under the master/slave protocol: memo,
-  // bounded kernel and adaptive batching in any combination produce the
-  // partition of the all-off legacy configuration.
+TEST(Parallel, BoundedKernelDoesNotChangePartition) {
+  // Same verdict-exactness claim under the master/slave protocol: with the
+  // bounded kernel on or off, the partition is the sequential exact one.
   const int p = 4;
   auto wl = test_workload();
-  auto legacy = test_config();
-  legacy.memo = false;
-  legacy.bounded_align = false;
-  legacy.adaptive_batch = false;
-  auto want = cluster_sequential(wl.ests, legacy).clusters.labels();
+  auto exact = test_config();
+  exact.bounded_align = false;
+  auto want = cluster_sequential(wl.ests, exact).clusters.labels();
 
-  struct Variant {
-    bool memo, bounded, adaptive;
-  };
-  for (const Variant v : {Variant{false, false, false},
-                          Variant{true, false, false},
-                          Variant{false, true, false},
-                          Variant{false, false, true},
-                          Variant{true, true, true}}) {
+  for (bool bounded : {false, true}) {
     auto cfg = test_config();
-    cfg.memo = v.memo;
-    cfg.bounded_align = v.bounded;
-    cfg.adaptive_batch = v.adaptive;
+    cfg.bounded_align = bounded;
     mpr::Runtime rt(p, mpr::CostModel{});
     std::vector<std::uint32_t> labels;
     std::mutex mu;
@@ -483,8 +378,7 @@ TEST(Parallel, HotPathFlagsDoNotChangePartition) {
       std::lock_guard<std::mutex> lock(mu);
       if (comm.rank() == 0) labels = res.labels;
     });
-    EXPECT_EQ(labels, want) << "memo=" << v.memo << " bounded=" << v.bounded
-                            << " adaptive=" << v.adaptive;
+    EXPECT_EQ(labels, want) << "bounded=" << bounded;
   }
 }
 

@@ -338,11 +338,10 @@ TEST(PairSource, BatchingIsEquivalentToDraining) {
   }
 }
 
-/// Seed-parameterized stream properties. The master's flow control (and
-/// the adaptive batching on top of it) may slice the stream arbitrarily,
-/// so these invariants must hold for every batch size, not just the
-/// defaults the other tests use — and for every backend, since the
-/// drivers are backend-agnostic.
+/// Seed-parameterized stream properties. The master's flow control may
+/// slice the stream arbitrarily, so these invariants must hold for every
+/// batch size, not just the defaults the other tests use — and for every
+/// backend, since the drivers are backend-agnostic.
 class PairStreamProperty : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(PairStreamProperty, StreamIsSortedDuplicateFreeAndBatchInvariant) {

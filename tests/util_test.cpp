@@ -292,6 +292,31 @@ TEST(Cli, NegativeNumberIsValueNotFlag) {
   EXPECT_EQ(args.get_int("offset", 0), -3);
 }
 
+TEST(Cli, BadNumberNamesFlagAndValue) {
+  // A value that is not wholly a number is an error naming the flag and
+  // the value, never a bare "stoll" or a silently truncated "12x" -> 12.
+  const char* argv[] = {"prog", "--batchsize", "abc", "--n", "12x",
+                        "--rate", "fast"};
+  CliArgs args(7, argv);
+  const auto message = [](auto&& get) {
+    try {
+      get();
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message([&] { args.get_int("batchsize", 0); })
+                .find("--batchsize expects an integer (got 'abc')"),
+            std::string::npos);
+  EXPECT_NE(message([&] { args.get_int("n", 0); })
+                .find("--n expects an integer (got '12x')"),
+            std::string::npos);
+  EXPECT_NE(message([&] { args.get_double("rate", 0.0); })
+                .find("--rate expects a number (got 'fast')"),
+            std::string::npos);
+}
+
 TEST(Cli, FallbacksWhenMissing) {
   const char* argv[] = {"prog"};
   CliArgs args(1, argv);

@@ -50,6 +50,17 @@ REQUIRED_TESTS = (
     "cli_cluster_unwritable_out",
     "cli_cluster_unwritable_trace",
     "cli_faults_need_ranks",
+    # A batchsize above the default buffer capacities clusters like the
+    # default, sequentially and in parallel; out-of-range and unparsable
+    # numeric flags are rejected by name instead of wrapping.
+    "cli_batchsize_3000_ranks1",
+    "cli_batchsize_3000_ranks1_clusters",
+    "cli_batchsize_3000_ranks4",
+    "cli_batchsize_3000_ranks4_clusters",
+    "cli_reject_negative_psi",
+    "cli_reject_negative_min_overlap",
+    "cli_reject_min_quality_above_one",
+    "cli_reject_nonnumeric_batchsize",
     # A removed backend name is rejected before the input is read.
     "cli_pair_source_fm",
     "headers_standalone",
@@ -92,6 +103,10 @@ REQUIRED_TESTS = (
     "Fasta.RejectsEmptyRecord",
     "bench_smoke_gst",
     "bench_smoke_kmer",
+    # The bounded kernel, the one alignment switch, never changes the
+    # partition, sequentially or under the master/slave protocol.
+    "Sequential.BoundedKernelDoesNotChangePartition",
+    "Parallel.BoundedKernelDoesNotChangePartition",
     # SIMD kernel gates: the wall-clock speedup floor and the forced-scalar
     # golden leg must both stay registered, or a dispatch regression could
     # hide behind whatever kernel the build host happens to pick.

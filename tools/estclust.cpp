@@ -69,11 +69,21 @@ std::ofstream open_output(const std::string& path) {
   return os;
 }
 
+/// An integer flag that must be at least `min`. Checked before the cast,
+/// so "-3" is an error that names the flag, not a wrapped huge value.
+std::uint64_t count_flag(const CliArgs& args, const std::string& name,
+                         std::int64_t fallback, std::int64_t min = 0) {
+  const std::int64_t v = args.get_int(name, fallback);
+  ESTCLUST_CHECK_MSG(v >= min, "--" << name << " must be at least " << min
+                                    << " (got " << v << ")");
+  return static_cast<std::uint64_t>(v);
+}
+
 int cmd_simulate(const CliArgs& args) {
   sim::SimConfig cfg = sim::scaled_config(
-      static_cast<std::size_t>(args.get_int("ests", 500)),
+      count_flag(args, "ests", 500),
       static_cast<std::uint64_t>(args.get_int("seed", 20020811)));
-  if (auto g = args.get("genes")) cfg.num_genes = std::stoull(*g);
+  if (args.get("genes")) cfg.num_genes = count_flag(args, "genes", 1, 1);
   cfg.alt_splice_prob = args.get_double("alt-splice", 0.0);
 
   const std::string out = args.get_string("out", "library.fa");
@@ -99,13 +109,16 @@ int cmd_simulate(const CliArgs& args) {
 
 pace::PaceConfig cluster_config(const CliArgs& args) {
   pace::PaceConfig cfg;
-  cfg.psi = static_cast<std::uint32_t>(args.get_int("psi", 20));
-  cfg.gst.window = static_cast<std::uint32_t>(args.get_int("window", 8));
-  cfg.batchsize = static_cast<std::size_t>(args.get_int("batchsize", 60));
+  cfg.psi = static_cast<std::uint32_t>(count_flag(args, "psi", 20));
+  cfg.gst.window = static_cast<std::uint32_t>(count_flag(args, "window", 8));
+  cfg.batchsize = count_flag(args, "batchsize", 60, 1);
   cfg.overlap.min_quality = args.get_double("min-quality", 0.8);
-  cfg.overlap.min_overlap =
-      static_cast<std::size_t>(args.get_int("min-overlap", 40));
-  cfg.overlap.band = static_cast<std::size_t>(args.get_int("band", 8));
+  ESTCLUST_CHECK_MSG(
+      cfg.overlap.min_quality >= 0.0 && cfg.overlap.min_quality <= 1.0,
+      "--min-quality must be in [0, 1] (got " << cfg.overlap.min_quality
+                                              << ")");
+  cfg.overlap.min_overlap = count_flag(args, "min-overlap", 40);
+  cfg.overlap.band = count_flag(args, "band", 8);
   const std::string source = args.get_string("pair-source", "gst");
   const auto backend = pairgen::parse_backend(source);
   ESTCLUST_CHECK_MSG(backend.has_value(),
@@ -306,11 +319,11 @@ int cmd_splice(const CliArgs& args) {
   bio::EstSet ests(bio::read_fasta_file(*in));
 
   analysis::SpliceParams params;
-  params.psi = static_cast<std::uint32_t>(args.get_int("psi", 20));
-  params.min_gap = static_cast<std::size_t>(args.get_int("min-gap", 25));
+  params.psi = static_cast<std::uint32_t>(count_flag(args, "psi", 20));
+  params.min_gap = count_flag(args, "min-gap", 25);
 
   auto forest = gst::build_forest_sequential(
-      ests, static_cast<std::uint32_t>(args.get_int("window", 8)));
+      ests, static_cast<std::uint32_t>(count_flag(args, "window", 8)));
   auto candidates =
       analysis::detect_alternative_splicing(ests, forest, params);
 
