@@ -124,15 +124,16 @@ struct AlignArena {
 
  private:
   void shrink_to(std::size_t width) {
-    // Swap-trick so capacity actually drops; the SIMD scratch regrows on
-    // demand, so it is simply released along with the rows.
+    // Swap-trick so capacity actually drops (`v = {}` would keep it); the
+    // SIMD scratch regrows on demand, so it is simply released along with
+    // the rows.
     std::vector<long>(width).swap(prev);
     std::vector<long>(width).swap(cur);
-    prev16 = {};
-    cur16 = {};
-    codes_a = {};
-    codes_b = {};
-    pack_words = {};
+    std::vector<std::int16_t>().swap(prev16);
+    std::vector<std::int16_t>().swap(cur16);
+    std::vector<std::uint8_t>().swap(codes_a);
+    std::vector<std::uint8_t>().swap(codes_b);
+    std::vector<std::uint64_t>().swap(pack_words);
     streak_ = 0;
     streak_peak_ = 0;
   }

@@ -172,11 +172,13 @@ Tree build_bucket_tree(const bio::EstSet& ests,
                        std::uint64_t bucket_id, BuildCounters& counters) {
   ESTCLUST_CHECK(!suffixes.empty());
   // Canonical input order => identical trees regardless of how suffixes
-  // arrived (sequential scan or all-to-all exchange).
-  std::sort(suffixes.begin(), suffixes.end(),
-            [](const SuffixOcc& a, const SuffixOcc& b) {
-              return a.sid != b.sid ? a.sid < b.sid : a.pos < b.pos;
-            });
+  // arrived. Every forest builder already delivers (sid, pos) order.
+  const auto by_sid_pos = [](const SuffixOcc& a, const SuffixOcc& b) {
+    return a.sid != b.sid ? a.sid < b.sid : a.pos < b.pos;
+  };
+  if (!std::is_sorted(suffixes.begin(), suffixes.end(), by_sid_pos)) {
+    std::sort(suffixes.begin(), suffixes.end(), by_sid_pos);
+  }
   counters.suffixes += suffixes.size();
 
   Tree tree;
@@ -194,23 +196,28 @@ Tree build_bucket_tree(const bio::EstSet& ests,
 std::vector<Tree> refine_buckets(const bio::EstSet& ests,
                                  std::vector<BucketedSuffix> suffixes,
                                  std::uint32_t w, BuildCounters& counters) {
-  std::sort(suffixes.begin(), suffixes.end(),
-            [](const BucketedSuffix& a, const BucketedSuffix& b) {
-              return a.bucket < b.bucket;
-            });
+  // Stable counting sort on the bucket id: count every bucket, give each
+  // non-empty one an exact-size occurrence vector, then deal the suffixes
+  // out in input order. slot[b] ends as bucket b's index in the forest.
+  std::vector<std::uint64_t> slot(num_buckets(w), 0);
+  for (const auto& bs : suffixes) ++slot[bs.bucket];
   std::vector<Tree> forest;
-  std::size_t i = 0;
-  while (i < suffixes.size()) {
-    std::size_t j = i;
-    while (j < suffixes.size() && suffixes[j].bucket == suffixes[i].bucket) {
-      ++j;
-    }
-    std::vector<SuffixOcc> bucket;
-    bucket.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) bucket.push_back(suffixes[k].occ);
-    forest.push_back(build_bucket_tree(ests, std::move(bucket), w,
-                                       suffixes[i].bucket, counters));
-    i = j;
+  for (std::uint64_t b = 0; b < slot.size(); ++b) {
+    if (slot[b] == 0) continue;
+    Tree& tree = forest.emplace_back();
+    tree.bucket_id = b;
+    tree.occs.reserve(slot[b]);
+    slot[b] = forest.size() - 1;
+  }
+  for (const auto& bs : suffixes) {
+    forest[slot[bs.bucket]].occs.push_back(bs.occ);
+  }
+  // Release the input before refining (assigning {} keeps the capacity).
+  std::vector<BucketedSuffix>().swap(suffixes);
+  std::vector<std::uint64_t>().swap(slot);
+  for (Tree& tree : forest) {
+    tree = build_bucket_tree(ests, std::move(tree.occs), w, tree.bucket_id,
+                             counters);
   }
   return forest;
 }

@@ -56,18 +56,21 @@ void collect_suffixes(const bio::EstSet& ests, bio::StringId sid_begin,
                       std::vector<BucketedSuffix>& out);
 
 /// Builds the subtree for one bucket. `suffixes` must all share the same
-/// length-w prefix; they are canonically sorted by (sid, pos) internally so
-/// the resulting tree is independent of input order. This sort is the only
-/// within-bucket ordering rule of the build.
+/// length-w prefix; input not already in (sid, pos) order is sorted into
+/// it here, so the resulting tree is independent of input order. This is
+/// the only within-bucket ordering rule of the build.
 Tree build_bucket_tree(const bio::EstSet& ests,
                        std::vector<SuffixOcc> suffixes, std::uint32_t w,
                        std::uint64_t bucket_id, BuildCounters& counters);
 
 /// Refines a set of bucketed suffixes into one subtree per bucket present,
-/// ordered by bucket id. The input may arrive in any order: it is grouped
-/// by bucket here, and build_bucket_tree fixes the order within a bucket.
+/// ordered by bucket id. The input may arrive in any order: a stable
+/// counting sort on the bucket id deals it into one exact-size occurrence
+/// vector per non-empty bucket, and build_bucket_tree fixes the order
+/// within a bucket. The input is released before any tree is refined.
 /// Every forest builder — sequential, parallel and the offline rebuild of
-/// one rank's share — goes through this loop.
+/// one rank's share — goes through this loop and hands it suffixes in
+/// (sid, pos) order, so no bucket needs sorting.
 std::vector<Tree> refine_buckets(const bio::EstSet& ests,
                                  std::vector<BucketedSuffix> suffixes,
                                  std::uint32_t w, BuildCounters& counters);

@@ -122,8 +122,10 @@ std::vector<Tree> build_forest_parallel(mpr::Communicator& comm,
     }
   }
   recvbufs.clear();
-  // Grouping the received suffixes by bucket is partitioning work;
-  // refine_buckets performs that sort.
+  // Grouping the received suffixes by bucket is partitioning work.
+  // refine_buckets does it with a linear counting sort, but the clock
+  // keeps charging the comparison-sort model for it, as the node order's
+  // construction_sort_units does.
   comm.charge(cm.sort_op, mpr::sort_model_units(owned.size()));
   const double t1 = comm.clock().time();
   if (tracer) {

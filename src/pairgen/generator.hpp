@@ -15,19 +15,25 @@
 // rather than global order). The generator remembers its position between
 // calls, so pairs are produced on demand.
 //
-// Storage: a processed node's lsets are kept only while its parent, which
-// must have depth >= psi to ever be processed, still needs them; they sit
-// in a pool slot the parent returns as it takes the union. Every other
-// node (bucket roots, nodes under a shallower parent) releases its cells
-// once its own products are out. Between batches the live cells are
-// therefore bounded by the occurrences of leaves whose parent has depth
-// >= psi.
+// Storage: a leaf keeps no lsets — a parent of depth >= psi reads them
+// from the leaf's occurrence array. A processed internal node keeps its
+// lsets only while its parent, which must have depth >= psi to ever be
+// processed, still needs them: one contiguous block grouped by class,
+// freed as the parent streams it through duplicate elimination. Every
+// other node (bucket roots, nodes under a shallower parent) keeps nothing
+// once its own products are out. Between batches the live entries are
+// therefore bounded by the occurrences below internal nodes whose parent
+// has depth >= psi, and so by the occurrences of leaves whose parent has
+// depth >= psi.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
+#include "bio/alphabet.hpp"
 #include "bio/dataset.hpp"
 #include "gst/tree.hpp"
 #include "pairgen/lset.hpp"
@@ -66,8 +72,8 @@ class PairGenerator final : public PairSource {
   /// The candidate index here is the borrowed forest itself.
   std::uint64_t index_bytes() const override;
 
-  /// Live lset cells right now (space-linearity tests).
-  std::uint32_t live_lset_cells() const { return pool_.live_cells(); }
+  /// Lset entries held in kept blocks right now (space-linearity tests).
+  std::size_t live_lset_entries() const { return live_entries_; }
 
  private:
   struct NodeRef {
@@ -75,16 +81,23 @@ class PairGenerator final : public PairSource {
     std::uint32_t node = 0;
   };
 
+  /// A kept node's lsets, grouped by class: class c is
+  /// entries[begin[c], begin[c + 1]).
+  struct Block {
+    std::vector<LsetEntry> entries;
+    std::array<std::uint32_t, bio::kNumLsetCodes + 1> begin{};
+  };
+
   void prefetch_ahead() const;
   void process_next_node();
-  void process_leaf(const gst::Tree& t, std::uint32_t v, bool kept,
-                    NodeLsets& lsets);
+  void process_leaf(const gst::Tree& t, std::uint32_t v);
   void process_internal(const gst::Tree& t, std::uint32_t base,
-                        std::uint32_t v, NodeLsets& lsets);
+                        std::uint32_t v);
+  std::uint32_t keep_block();
   void emit(const LsetEntry& e1, const LsetEntry& e2, std::uint32_t len);
-  void cross_product(const Lset& s1, const Lset& s2, std::uint32_t len);
-  void self_product(const Lset& s, std::uint32_t len);
-  void release_lsets(NodeLsets& lsets);
+  void cross_product(std::span<const LsetEntry> s1,
+                     std::span<const LsetEntry> s2, std::uint32_t len);
+  void self_product(std::span<const LsetEntry> s, std::uint32_t len);
 
   const bio::EstSet& ests_;
   const std::vector<gst::Tree>& forest_;
@@ -95,18 +108,24 @@ class PairGenerator final : public PairSource {
   std::vector<NodeRef> order_;
   std::size_t next_node_ = 0;  ///< cursor into order_
 
-  LsetPool pool_;
   // Node v of tree t has global id base_[t] + v. slot_of_[id] is the slot
-  // holding its lsets once processed, kWantsSlot before that if its parent
-  // has depth >= psi, and kNoSlot if it never keeps lsets.
+  // holding its block once processed, kWantsSlot before that if it is an
+  // internal node whose parent has depth >= psi, and kNoSlot if it never
+  // keeps lsets.
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
   static constexpr std::uint32_t kWantsSlot = UINT32_MAX - 1;
   std::vector<std::uint32_t> base_;
   std::vector<std::uint32_t> slot_of_;
-  std::vector<NodeLsets> slots_;
+  std::vector<Block> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> child_slots_;    ///< scratch for process_internal
-  std::vector<std::uint32_t> child_classes_;  ///< scratch for process_internal
+  std::size_t live_entries_ = 0;  ///< entries held in slots_
+
+  // Per-class scratch for the node being processed: a leaf's occurrences,
+  // or the survivors of duplicate elimination, child after child. Child
+  // k's class-c survivors are class_[c][child_begin_[k][c],
+  // child_begin_[k + 1][c]).
+  std::array<std::vector<LsetEntry>, bio::kNumLsetCodes> class_;
+  std::vector<std::array<std::uint32_t, bio::kNumLsetCodes>> child_begin_;
 
   // Duplicate-elimination mark array: mark_[sid] == token when sid was
   // already seen at the internal node currently being processed.

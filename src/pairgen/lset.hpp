@@ -1,21 +1,15 @@
 // lsets (§3.2): per-node partitions of the strings below a GST node, keyed
 // by the left-extension character of the suffix that put them there.
 //
-// Each node carries five lists — l_A, l_C, l_G, l_T and l_λ — of (string id,
-// suffix position) entries. Lists are singly linked through a shared pool so
-// that the union step of ProcessInternalNode is O(|Σ|²) pointer splices, and
-// the total live storage across the whole generation pass stays linear in
-// the number of suffix occurrences (entries are recycled through a free
-// list when duplicates are eliminated or nodes are retired).
+// Each node has five lists — l_A, l_C, l_G, l_T and l_λ — of (string id,
+// suffix position) entries. The generator stores a kept node's five lists
+// as one contiguous block grouped by class; a leaf's lists are its
+// occurrence array, split by class where they are read.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
-#include "bio/alphabet.hpp"
 #include "bio/dataset.hpp"
-#include "util/check.hpp"
 
 namespace estclust::pairgen {
 
@@ -24,97 +18,6 @@ namespace estclust::pairgen {
 struct LsetEntry {
   bio::StringId sid = 0;
   std::uint32_t pos = 0;
-};
-
-/// Handle to one linked list inside the pool.
-struct Lset {
-  std::int32_t head = -1;
-  std::int32_t tail = -1;
-  std::uint32_t size = 0;
-
-  bool empty() const { return size == 0; }
-};
-
-/// All five lsets of one node, indexed by character code (λ = 4).
-using NodeLsets = std::array<Lset, bio::kNumLsetCodes>;
-
-/// Pool of list cells with a free list. Not thread-safe; each generator
-/// owns one pool.
-class LsetPool {
- public:
-  /// Appends an entry to `set`.
-  void push(Lset& set, LsetEntry entry);
-
-  /// Splices `src` onto the end of `dst` in O(1); `src` becomes empty.
-  void concat(Lset& dst, Lset& src);
-
-  /// Calls f(LsetEntry) for every entry.
-  template <typename F>
-  void for_each(const Lset& set, F&& f) const {
-    for (std::int32_t i = set.head; i != -1; i = cells_[i].next) {
-      f(cells_[i].entry);
-    }
-  }
-
-  /// Calls f(e1, e2) for every unordered pair of entries (ProcessLeaf's
-  /// l_λ × l_λ product).
-  template <typename F>
-  void for_each_pair(const Lset& set, F&& f) const {
-    for (std::int32_t i = set.head; i != -1; i = cells_[i].next) {
-      for (std::int32_t j = cells_[i].next; j != -1; j = cells_[j].next) {
-        f(cells_[i].entry, cells_[j].entry);
-      }
-    }
-  }
-
-  /// Removes entries for which pred(entry) is true, recycling their cells.
-  /// Returns the number removed.
-  template <typename Pred>
-  std::uint32_t remove_if(Lset& set, Pred&& pred) {
-    std::uint32_t removed = 0;
-    std::int32_t prev = -1;
-    std::int32_t cur = set.head;
-    while (cur != -1) {
-      std::int32_t next = cells_[cur].next;
-      if (pred(cells_[cur].entry)) {
-        if (prev == -1) {
-          set.head = next;
-        } else {
-          cells_[prev].next = next;
-        }
-        if (set.tail == cur) set.tail = prev;
-        free_cell(cur);
-        --set.size;
-        ++removed;
-      } else {
-        prev = cur;
-      }
-      cur = next;
-    }
-    return removed;
-  }
-
-  /// Recycles every cell of `set`; the handle becomes empty.
-  void release(Lset& set);
-
-  /// Cells currently in use (live-memory accounting for the O(N) tests).
-  std::uint32_t live_cells() const { return live_; }
-
-  /// Total cells ever allocated (capacity high-water mark).
-  std::size_t allocated_cells() const { return cells_.size(); }
-
- private:
-  struct Cell {
-    LsetEntry entry;
-    std::int32_t next = -1;
-  };
-
-  std::int32_t alloc_cell();
-  void free_cell(std::int32_t i);
-
-  std::vector<Cell> cells_;
-  std::int32_t free_head_ = -1;
-  std::uint32_t live_ = 0;
 };
 
 }  // namespace estclust::pairgen

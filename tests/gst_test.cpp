@@ -1,18 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <string>
 
 #include "bio/alphabet.hpp"
 #include "bio/dataset.hpp"
+#include "bio/fasta.hpp"
 #include "gst/builder.hpp"
 #include "gst/parallel.hpp"
 #include "gst/tree.hpp"
 #include "mpr/runtime.hpp"
 #include "util/check.hpp"
 #include "util/prng.hpp"
+
+#ifndef ESTCLUST_TEST_DATA_DIR
+#error "ESTCLUST_TEST_DATA_DIR must be defined by the build"
+#endif
 
 namespace estclust::gst {
 namespace {
@@ -176,6 +183,34 @@ TEST(BuildBucketTree, CanonicalRegardlessOfInputOrder) {
   Tree t1 = build_bucket_tree(ests, forward, 2, it->first, c1);
   Tree t2 = build_bucket_tree(ests, reversed, 2, it->first, c2);
   EXPECT_TRUE(trees_equal(t1, t2));
+}
+
+TEST(RefineBuckets, AnyInputOrderGivesTheSequentialForest) {
+  // refine_buckets groups its input with a stable counting sort, and
+  // build_bucket_tree sorts a bucket only when it does not arrive in
+  // (sid, pos) order. Shuffled input takes that sort in every bucket of
+  // more than one suffix and must still give the sequential forest.
+  EstSet ests(bio::read_fasta_file(std::string(ESTCLUST_TEST_DATA_DIR) +
+                                   "/golden_small.fasta"));
+  constexpr std::uint32_t kW = 6;
+  BuildCounters seq_counters;
+  const std::vector<Tree> expected =
+      build_forest_sequential(ests, kW, &seq_counters);
+  std::vector<BucketedSuffix> suffixes;
+  collect_suffixes(ests, 0, static_cast<bio::StringId>(ests.num_strings()),
+                   kW, suffixes);
+  std::mt19937_64 rng(7);
+  std::shuffle(suffixes.begin(), suffixes.end(), rng);
+  BuildCounters counters;
+  const std::vector<Tree> forest =
+      refine_buckets(ests, std::move(suffixes), kW, counters);
+  ASSERT_EQ(forest.size(), expected.size());
+  for (std::size_t i = 0; i < forest.size(); ++i) {
+    EXPECT_TRUE(trees_equal(forest[i], expected[i])) << "tree " << i;
+  }
+  EXPECT_EQ(counters.suffixes, seq_counters.suffixes);
+  EXPECT_EQ(counters.chars_scanned, seq_counters.chars_scanned);
+  EXPECT_EQ(counters.nodes, seq_counters.nodes);
 }
 
 TEST(SequentialForest, EverySuffixAppearsExactlyOnce) {

@@ -479,11 +479,12 @@ TEST(PairSource, ConstructionUnitsAndIndexBytesAreStable) {
 }
 
 TEST(PairGenerator, LiveLsetCellsBoundedByOccurrences) {
-  if (!gst_backend()) GTEST_SKIP() << "lset pool is GST-internal";
-  // Between batches only nodes whose parent is still to be processed hold
-  // lsets, and those cells come from leaves whose parent has depth >= psi.
-  // Noise ESTs put many leaves under parents shallower than psi, so
-  // holding any of their cells past the leaf breaks the bound.
+  if (!gst_backend()) GTEST_SKIP() << "lset blocks are GST-internal";
+  // Between batches only internal nodes whose parent is still to be
+  // processed hold lset entries, and those entries come from leaves whose
+  // parent has depth >= psi. Noise ESTs put many leaves under parents
+  // shallower than psi, so holding any of their entries past the leaf
+  // breaks the bound.
   constexpr std::uint32_t kPsi = 10;
   Prng rng(30);
   EstSet ests = overlap_ests(rng, 12, 12);
@@ -500,14 +501,42 @@ TEST(PairGenerator, LiveLsetCellsBoundedByOccurrences) {
 
   PairGenerator gen(ests, forest, kPsi);
   std::vector<PromisingPair> out;
-  std::uint32_t peak = 0;
+  std::size_t peak = 0;
   while (gen.next_batch(1, out) > 0) {
-    peak = std::max(peak, gen.live_lset_cells());
+    peak = std::max(peak, gen.live_lset_entries());
     out.clear();
   }
   EXPECT_GT(peak, 0u);
   EXPECT_LE(peak, held_occs);
-  EXPECT_EQ(gen.live_lset_cells(), 0u);  // everything retired at the end
+  EXPECT_EQ(gen.live_lset_entries(), 0u);  // everything retired at the end
+}
+
+TEST(PairGenerator, LeafLsetsAreNeverParked) {
+  if (!gst_backend()) GTEST_SKIP() << "lset blocks are GST-internal";
+  // Two ESTs share one 40-base segment between random flanks, so every
+  // internal node of depth >= psi lies on that segment, has two leaf
+  // children and a parent shallower than psi. A leaf's lsets are its
+  // occurrences and an internal node keeps a block only for a parent of
+  // depth >= psi, so nothing is ever held between batches.
+  for (std::uint64_t seed : {40, 41, 42}) {
+    Prng rng(seed);
+    const std::string shared = random_dna(rng, 40);
+    EstSet ests(
+        {{"a", random_dna(rng, 100) + shared + random_dna(rng, 100)},
+         {"b", random_dna(rng, 100) + shared + random_dna(rng, 100)}});
+    auto forest = gst::build_forest_sequential(ests, 6);
+    PairGenerator gen(ests, forest, 20);
+    std::vector<PromisingPair> out;
+    std::size_t peak = 0;
+    std::size_t pairs = 0;
+    while (gen.next_batch(1, out) > 0) {
+      peak = std::max(peak, gen.live_lset_entries());
+      pairs += out.size();
+      out.clear();
+    }
+    EXPECT_GT(pairs, 0u) << "seed " << seed;
+    EXPECT_EQ(peak, 0u) << "seed " << seed;
+  }
 }
 
 /// FNV-1a over 64-bit words.

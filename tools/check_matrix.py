@@ -61,6 +61,10 @@ REQUIRED_TESTS = (
     "cli_reject_negative_min_overlap",
     "cli_reject_min_quality_above_one",
     "cli_reject_nonnumeric_batchsize",
+    "cli_reject_psi_above_uint32",
+    "cli_reject_window_above_uint32",
+    "cli_reject_ranks_above_int",
+    "cli_reject_ranks_above_cap",
     # A removed backend name is rejected before the input is read.
     "cli_pair_source_fm",
     "headers_standalone",
@@ -92,6 +96,12 @@ REQUIRED_TESTS = (
     # The GST walk's exact record stream, tie order included; the cluster
     # goldens see that order only through union-find skips.
     "gst/PairGenerator.GoldenPairStream",
+    # Leaves keep no lset block, and a forest does not depend on the order
+    # its suffixes arrive in.
+    "gst/PairGenerator.LeafLsetsAreNeverParked",
+    "RefineBuckets.AnyInputOrderGivesTheSequentialForest",
+    # The arena's shrink releases the SIMD scratch, not just the band rows.
+    "AlignArena.ShrinkReleasesSimdScratch",
     # The word-wise refinement against the suffix-array oracle, its
     # chars_scanned charge against the count derived from the forest, and
     # the packed copy it reads.

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -69,15 +70,32 @@ std::ofstream open_output(const std::string& path) {
   return os;
 }
 
-/// An integer flag that must be at least `min`. Checked before the cast,
-/// so "-3" is an error that names the flag, not a wrapped huge value.
+/// An integer flag in [min, max]. Checked before any cast, so "-3" or a
+/// value past the destination type is an error that names the flag, not
+/// a wrapped value.
 std::uint64_t count_flag(const CliArgs& args, const std::string& name,
-                         std::int64_t fallback, std::int64_t min = 0) {
+                         std::int64_t fallback, std::int64_t min = 0,
+                         std::uint64_t max =
+                             std::numeric_limits<std::int64_t>::max()) {
   const std::int64_t v = args.get_int(name, fallback);
   ESTCLUST_CHECK_MSG(v >= min, "--" << name << " must be at least " << min
                                     << " (got " << v << ")");
+  ESTCLUST_CHECK_MSG(static_cast<std::uint64_t>(v) <= max,
+                     "--" << name << " must be at most " << max << " (got "
+                          << v << ")");
   return static_cast<std::uint64_t>(v);
 }
+
+/// A flag narrowed to std::uint32_t.
+std::uint32_t u32_flag(const CliArgs& args, const std::string& name,
+                       std::int64_t fallback) {
+  return static_cast<std::uint32_t>(count_flag(
+      args, name, fallback, 0, std::numeric_limits<std::uint32_t>::max()));
+}
+
+/// Upper bound of --ranks: 8x the paper's largest run. Every rank is an
+/// OS thread, so a larger value is a typo, not a run.
+constexpr int kMaxRanks = 1024;
 
 int cmd_simulate(const CliArgs& args) {
   sim::SimConfig cfg = sim::scaled_config(
@@ -109,8 +127,8 @@ int cmd_simulate(const CliArgs& args) {
 
 pace::PaceConfig cluster_config(const CliArgs& args) {
   pace::PaceConfig cfg;
-  cfg.psi = static_cast<std::uint32_t>(count_flag(args, "psi", 20));
-  cfg.gst.window = static_cast<std::uint32_t>(count_flag(args, "window", 8));
+  cfg.psi = u32_flag(args, "psi", 20);
+  cfg.gst.window = u32_flag(args, "window", 8);
   cfg.batchsize = count_flag(args, "batchsize", 60, 1);
   cfg.overlap.min_quality = args.get_double("min-quality", 0.8);
   ESTCLUST_CHECK_MSG(
@@ -152,9 +170,8 @@ int cmd_cluster(const CliArgs& args) {
   const mpr::FaultSpec faults =
       mpr::parse_fault_spec(args.get_string("faults", "off"));
   faults.validate();
-  const int ranks = static_cast<int>(args.get_int("ranks", 1));
-  ESTCLUST_CHECK_MSG(ranks >= 1, "--ranks must be at least 1 (got "
-                                     << ranks << ")");
+  const int ranks =
+      static_cast<int>(count_flag(args, "ranks", 1, 1, kMaxRanks));
   ESTCLUST_CHECK_MSG(!faults.enabled || ranks >= 2,
                      "--faults needs --ranks 2 or more: faults are injected "
                      "into the master/slave protocol");
@@ -319,11 +336,11 @@ int cmd_splice(const CliArgs& args) {
   bio::EstSet ests(bio::read_fasta_file(*in));
 
   analysis::SpliceParams params;
-  params.psi = static_cast<std::uint32_t>(count_flag(args, "psi", 20));
+  params.psi = u32_flag(args, "psi", 20);
   params.min_gap = count_flag(args, "min-gap", 25);
 
-  auto forest = gst::build_forest_sequential(
-      ests, static_cast<std::uint32_t>(count_flag(args, "window", 8)));
+  auto forest =
+      gst::build_forest_sequential(ests, u32_flag(args, "window", 8));
   auto candidates =
       analysis::detect_alternative_splicing(ests, forest, params);
 
