@@ -39,11 +39,6 @@ class PackedView {
     return static_cast<int>((words_[i / 32] >> ((i % 32) * 2)) & 3);
   }
 
-  /// Address of the word holding position i (for prefetching).
-  const std::uint64_t* word_address(std::size_t i) const {
-    return words_ + i / 32;
-  }
-
   /// The 32 codes starting at position i < size(), base i in the low two
   /// bits. Codes past size() are unspecified. Reads the word after i's, so
   /// a readable word must follow the view's last one (EstSet::packed

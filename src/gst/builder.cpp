@@ -101,6 +101,8 @@ class BucketRefiner {
     // Internal node at depth d. Children in canonical order: the $-leaf of
     // exhausted suffixes first, then the A, C, G, T classes.
     const std::uint32_t v = new_node(d);
+    tree_.nodes[v].occ_begin = begin;
+    tree_.nodes[v].occ_end = end;
     std::array<std::uint32_t, 1 + bio::kSigma> next{};
     for (std::size_t c = 1; c < next.size(); ++c) {
       next[c] = next[c - 1] + class_size[c - 1];

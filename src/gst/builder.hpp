@@ -13,7 +13,8 @@
 // character pass at the branch depth then sorts the group into $, A, C, G
 // and T. Each split is a stable counting partition of the group's subrange
 // of the bucket's (sid, pos)-sorted array, which ends as the tree's
-// leaf-contiguous occurrence array. BuildCounters::chars_scanned still
+// leaf-contiguous occurrence array; every node records the subrange it
+// refined as its occurrence range. BuildCounters::chars_scanned still
 // counts the group size for every depth passed, as one character pass per
 // depth would: the virtual clock charges the paper's algorithm.
 #pragma once

@@ -74,6 +74,7 @@ class IntervalFolder {
     }
 
     const std::uint32_t v = new_node(m);
+    tree_.nodes[v].occ_begin = static_cast<std::uint32_t>(tree_.occs.size());
     if (e > lo) emit_leaf(lo, e, m);  // the $-leaf, first child
     // Children: maximal runs of [e, hi) with pairwise LCP > m.
     std::size_t run_start = e;
@@ -85,6 +86,7 @@ class IntervalFolder {
     }
     tree_.nodes[v].rightmost =
         static_cast<std::uint32_t>(tree_.nodes.size()) - 1;
+    tree_.nodes[v].occ_end = static_cast<std::uint32_t>(tree_.occs.size());
   }
 
  private:

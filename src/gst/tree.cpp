@@ -2,22 +2,12 @@
 
 #include <string>
 
-#include "bio/alphabet.hpp"
-
 namespace estclust::gst {
 
 std::uint32_t Tree::num_leaves(std::uint32_t v) const {
   std::uint32_t count = 0;
   for (std::uint32_t u = v; u <= nodes[v].rightmost; ++u) {
     if (is_leaf(u)) ++count;
-  }
-  return count;
-}
-
-std::uint32_t Tree::num_occurrences(std::uint32_t v) const {
-  std::uint32_t count = 0;
-  for (std::uint32_t u = v; u <= nodes[v].rightmost; ++u) {
-    if (is_leaf(u)) count += nodes[u].occ_end - nodes[u].occ_begin;
   }
   return count;
 }
@@ -34,6 +24,7 @@ std::string Tree::path_label(const bio::EstSet& ests, std::uint32_t v) const {
 void Tree::validate(const bio::EstSet& ests) const {
   if (nodes.empty()) return;
   ESTCLUST_CHECK(nodes[0].rightmost == nodes.size() - 1);
+  ESTCLUST_CHECK(nodes[0].occ_begin == 0 && nodes[0].occ_end == occs.size());
 
   std::uint32_t total_occs = 0;
   for (std::uint32_t v = 0; v < size(); ++v) {
@@ -57,14 +48,19 @@ void Tree::validate(const bio::EstSet& ests) const {
         ESTCLUST_CHECK(s.substr(occ.pos, node.depth) == ref);
       }
     } else {
-      // Children partition the subtree; each child's depth exceeds the
-      // parent's except the $-leaf (identical-prefix suffixes ending here),
-      // which ties. First children must begin at v+1.
+      // Children partition the subtree and, in order, its occurrence
+      // range; each child's depth exceeds the parent's except the $-leaf
+      // (identical-prefix suffixes ending here), which ties. First
+      // children must begin at v+1.
       std::uint32_t expected = v + 1;
+      std::uint32_t expected_occ = node.occ_begin;
       std::uint32_t child_count = 0;
       for_each_child(v, [&](std::uint32_t u) {
         ESTCLUST_CHECK(u == expected);
         ESTCLUST_CHECK(nodes[u].rightmost <= node.rightmost);
+        ESTCLUST_CHECK_MSG(nodes[u].occ_begin == expected_occ,
+                           "child ranges must tile the parent's range");
+        expected_occ = nodes[u].occ_end;
         if (is_leaf(u) && nodes[u].depth == node.depth) {
           // $-leaf: only allowed as the first child.
           ESTCLUST_CHECK(u == v + 1);
@@ -76,25 +72,19 @@ void Tree::validate(const bio::EstSet& ests) const {
         ++child_count;
       });
       ESTCLUST_CHECK(expected == node.rightmost + 1);
+      ESTCLUST_CHECK_MSG(expected_occ == node.occ_end,
+                         "child ranges must tile the parent's range");
       ESTCLUST_CHECK_MSG(child_count >= 2, "unary internal node");
       // All occurrences below v agree on the first `depth` characters.
       std::string label = path_label(ests, v);
-      for (std::uint32_t u = v + 1; u <= node.rightmost; ++u) {
-        if (!is_leaf(u)) continue;
-        for (const auto& occ : occurrences(u)) {
-          auto s = ests.str(occ.sid);
-          ESTCLUST_CHECK(occ.pos + node.depth <= s.size());
-          ESTCLUST_CHECK(s.substr(occ.pos, node.depth) == label);
-        }
+      for (const auto& occ : occurrences(v)) {
+        auto s = ests.str(occ.sid);
+        ESTCLUST_CHECK(occ.pos + node.depth <= s.size());
+        ESTCLUST_CHECK(s.substr(occ.pos, node.depth) == label);
       }
     }
   }
   ESTCLUST_CHECK(total_occs == occs.size());
-}
-
-int left_extension_code(const bio::EstSet& ests, const SuffixOcc& occ) {
-  if (occ.pos == 0) return bio::kLambdaCode;
-  return ests.packed(occ.sid).code_at(occ.pos - 1);
 }
 
 }  // namespace estclust::gst

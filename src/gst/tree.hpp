@@ -17,12 +17,18 @@
 //   * identical suffixes from different strings coalesce into one leaf that
 //     carries the whole occurrence list (this is what lets ProcessLeaf
 //     generate pairs, mirroring the paper's leaf lsets).
+//
+// The occurrence array is leaf-contiguous in DFS order, so the occurrences
+// below any node form one range of it: a leaf's range is its occurrence
+// list, and an internal node's is the concatenation of its children's.
+// The pair walk reads each node's lsets out of that range.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "bio/alphabet.hpp"
 #include "bio/dataset.hpp"
 #include "util/check.hpp"
 
@@ -41,8 +47,8 @@ struct SuffixOcc {
 struct Node {
   std::uint32_t rightmost = 0;  ///< DFS index of rightmost leaf; self => leaf
   std::uint32_t depth = 0;      ///< string-depth (path-label length)
-  std::uint32_t occ_begin = 0;  ///< leaves: range into Tree::occs
-  std::uint32_t occ_end = 0;
+  std::uint32_t occ_begin = 0;  ///< [occ_begin, occ_end): the occurrences
+  std::uint32_t occ_end = 0;    ///< of the subtree, a range of Tree::occs
 };
 
 /// One bucket subtree. `prefix_depth` is w, the shared-prefix length of all
@@ -60,9 +66,9 @@ class Tree {
   bool is_leaf(std::uint32_t v) const { return nodes[v].rightmost == v; }
   std::uint32_t depth(std::uint32_t v) const { return nodes[v].depth; }
 
-  /// Occurrence list of a leaf.
+  /// Occurrences in the subtree of v, leaf by leaf in DFS order; a leaf's
+  /// occurrence list.
   std::span<const SuffixOcc> occurrences(std::uint32_t v) const {
-    ESTCLUST_DCHECK(is_leaf(v));
     return {occs.data() + nodes[v].occ_begin,
             occs.data() + nodes[v].occ_end};
   }
@@ -89,7 +95,9 @@ class Tree {
   std::uint32_t num_leaves(std::uint32_t v) const;
 
   /// Total suffix occurrences stored in the subtree of v.
-  std::uint32_t num_occurrences(std::uint32_t v) const;
+  std::uint32_t num_occurrences(std::uint32_t v) const {
+    return nodes[v].occ_end - nodes[v].occ_begin;
+  }
 
   /// Heap bytes used by this tree (space-accounting tests).
   std::size_t storage_bytes() const {
@@ -102,7 +110,8 @@ class Tree {
 
   /// Checks structural invariants (DFS layout, rightmost pointers, depths
   /// strictly increasing parent->child except depth-ties at $-leaves,
-  /// occurrence prefixes consistent with path labels). Throws CheckError on
+  /// each internal range the concatenation of its children's, occurrence
+  /// prefixes consistent with path labels). Throws CheckError on
   /// violation. Intended for tests; O(total occurrences * depth).
   void validate(const bio::EstSet& ests) const;
 };
@@ -110,6 +119,10 @@ class Tree {
 /// Left-extension character code of a suffix occurrence: bio::kLambdaCode
 /// if the suffix is the whole string (§3.2's null character), else the code
 /// of the character immediately left of the suffix.
-int left_extension_code(const bio::EstSet& ests, const SuffixOcc& occ);
+inline int left_extension_code(const bio::EstSet& ests,
+                               const SuffixOcc& occ) {
+  if (occ.pos == 0) return bio::kLambdaCode;
+  return ests.packed(occ.sid).code_at(occ.pos - 1);
+}
 
 }  // namespace estclust::gst
