@@ -3,6 +3,7 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <unordered_map>
 
 #include "bio/alphabet.hpp"
 #include "util/check.hpp"
@@ -15,6 +16,9 @@ std::vector<Sequence> read_fasta(std::istream& in) {
   Sequence current;
   bool have_record = false;
   std::size_t header_line = 0;
+  // Header line of each id seen: clusters are reported by id, so a
+  // repeated one could not be mapped back to its record.
+  std::unordered_map<std::string, std::size_t> id_line;
   auto flush = [&] {
     if (have_record) {
       ESTCLUST_CHECK_MSG(!current.bases.empty(),
@@ -37,6 +41,10 @@ std::vector<Sequence> read_fasta(std::istream& in) {
       // Header is everything after '>' up to the first whitespace.
       std::size_t end = line.find_first_of(" \t", 1);
       current.id = line.substr(1, end == std::string::npos ? end : end - 1);
+      const auto [seen, fresh] = id_line.emplace(current.id, lineno);
+      ESTCLUST_CHECK_MSG(fresh, "FASTA: duplicate record id '"
+                                    << current.id << "' at lines "
+                                    << seen->second << " and " << lineno);
     } else {
       ESTCLUST_CHECK_MSG(have_record,
                          "FASTA: sequence data before header at line "

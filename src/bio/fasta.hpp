@@ -11,9 +11,10 @@ namespace estclust::bio {
 
 /// Parses FASTA records from a stream. Multi-line sequences are joined;
 /// bases are uppercased and validated. Throws CheckError on malformed input
-/// (sequence data before the first header, invalid characters, or a record
-/// with no bases); the message names the input line, and the record id for
-/// an invalid base or an empty record.
+/// (sequence data before the first header, invalid characters, a record
+/// with no bases, or an id used by an earlier record); the message names
+/// the input line, and the record id for an invalid base, an empty record
+/// or a repeated id (with both header lines).
 std::vector<Sequence> read_fasta(std::istream& in);
 
 /// Reads a FASTA file from disk. Throws CheckError if the file can't open.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <sstream>
 
 #include "util/check.hpp"
 
@@ -77,6 +78,33 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   auto v = get(name);
   if (!v) return fallback;
   return parse_value<double>(name, *v, "a number");
+}
+
+void CliArgs::reject_unknown(std::span<const std::string_view> known,
+                             std::string_view context) const {
+  std::vector<std::string> unknown;
+  const auto check = [&](const std::string& name) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown.push_back("--" + name);
+    }
+  };
+  for (const auto& name : flags_) check(name);
+  for (const auto& [name, value] : values_) check(name);
+  std::ostringstream msg;
+  if (!unknown.empty()) {
+    msg << "unknown flag" << (unknown.size() > 1 ? "s" : "");
+    for (std::size_t i = 0; i < unknown.size(); ++i) {
+      msg << (i == 0 ? " " : ", ") << unknown[i];
+    }
+    msg << " (accepted:";
+    for (const auto& name : known) msg << " --" << name;
+    msg << ")";
+  }
+  for (const auto& arg : positionals_) {
+    msg << (msg.tellp() > 0 ? "; " : "") << "unexpected argument '" << arg
+        << "'";
+  }
+  ESTCLUST_CHECK_MSG(msg.tellp() == 0, context << ": " << msg.str());
 }
 
 std::int64_t CliArgs::env_int(const std::string& name, std::int64_t fallback) {

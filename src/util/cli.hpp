@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace estclust {
@@ -29,6 +31,13 @@ class CliArgs {
   double get_double(const std::string& name, double fallback) const;
 
   const std::vector<std::string>& positionals() const { return positionals_; }
+
+  /// Throws CheckError naming every flag outside `known` and every
+  /// positional argument, prefixed with `context` (the command), so a
+  /// misspelt flag fails instead of running with its default. Parsing
+  /// itself accepts anything; a tool calls this to opt in.
+  void reject_unknown(std::span<const std::string_view> known,
+                      std::string_view context) const;
   const std::string& program() const { return program_; }
 
   /// Reads an integer environment variable, else returns fallback.

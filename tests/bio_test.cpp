@@ -278,6 +278,20 @@ TEST(Fasta, RejectsEmptyRecord) {
   }
 }
 
+TEST(Fasta, RejectsDuplicateIds) {
+  // Clusters are written as record ids, so two records named est_4 would
+  // make the output ambiguous: the error names the id and both headers.
+  std::istringstream in(">est_4 clone\nACGT\n>b\nACGT\n>est_4\nGGCC\n");
+  try {
+    read_fasta(in);
+    FAIL() << "a repeated record id was accepted";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'est_4'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("lines 1 and 5"), std::string::npos) << msg;
+  }
+}
+
 TEST(Fasta, EmptyInputYieldsNoRecords) {
   std::istringstream in("");
   EXPECT_TRUE(read_fasta(in).empty());

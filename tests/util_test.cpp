@@ -332,6 +332,34 @@ TEST(Cli, Positionals) {
   EXPECT_EQ(args.positionals()[1], "more");
 }
 
+TEST(Cli, RejectUnknownNamesEveryStrayArgument) {
+  // A misspelt flag must fail by name instead of running with the default
+  // of the flag it was meant to be.
+  const char* argv[] = {"prog", "--window", "6",     "--min-overlpa",
+                        "100",  "--bogus",  "3",     "--metrics",
+                        "--in=lib.fa"};
+  const CliArgs args(9, argv);
+  const std::string_view known[] = {"in", "window", "metrics",
+                                    "min-overlap"};
+  try {
+    args.reject_unknown(known, "estclust cluster");
+    FAIL() << "unknown flags were accepted";
+  } catch (const CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("estclust cluster: unknown flags"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("--min-overlpa"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--bogus"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("--min-overlap"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("--window,"), std::string::npos) << msg;
+  }
+  const char* stray[] = {"prog", "extra", "--in", "lib.fa"};
+  EXPECT_THROW(CliArgs(4, stray).reject_unknown(known, "estclust cluster"),
+               CheckError);
+  const char* good[] = {"prog", "--in", "lib.fa", "--metrics", "--window=6"};
+  EXPECT_NO_THROW(CliArgs(5, good).reject_unknown(known, "estclust cluster"));
+}
+
 TEST(Timer, MeasuresNonNegativeTime) {
   WallTimer t;
   EXPECT_GE(t.seconds(), 0.0);

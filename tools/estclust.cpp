@@ -6,8 +6,10 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "analysis/splice.hpp"
 #include "assembly/consensus.hpp"
@@ -96,6 +98,20 @@ std::uint32_t u32_flag(const CliArgs& args, const std::string& name,
 /// Upper bound of --ranks: 8x the paper's largest run. Every rank is an
 /// OS thread, so a larger value is a typo, not a run.
 constexpr int kMaxRanks = 1024;
+
+// The flags each command reads; any other flag is rejected by name.
+constexpr std::string_view kSimulateFlags[] = {
+    "ests", "genes", "seed", "alt-splice", "out", "truth"};
+constexpr std::string_view kClusterFlags[] = {
+    "in", "out", "psi", "window", "batchsize", "min-quality", "min-overlap",
+    "band", "pair-source", "trace", "breakdown", "profile", "metrics",
+    "check", "faults", "ranks"};
+constexpr std::string_view kEvalFlags[] = {"clusters", "truth", "in"};
+constexpr std::string_view kSpliceFlags[] = {"in", "psi", "window",
+                                             "min-gap"};
+constexpr std::string_view kAssembleFlags[] = {
+    "in", "out", "psi", "window", "batchsize", "min-quality", "min-overlap",
+    "band", "pair-source"};
 
 int cmd_simulate(const CliArgs& args) {
   sim::SimConfig cfg = sim::scaled_config(
@@ -392,12 +408,21 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   estclust::CliArgs args(argc - 1, argv + 1);
+  const struct {
+    std::string_view name;
+    int (*run)(const CliArgs&);
+    std::span<const std::string_view> flags;
+  } commands[] = {{"simulate", cmd_simulate, kSimulateFlags},
+                  {"cluster", cmd_cluster, kClusterFlags},
+                  {"eval", cmd_eval, kEvalFlags},
+                  {"splice", cmd_splice, kSpliceFlags},
+                  {"assemble", cmd_assemble, kAssembleFlags}};
   try {
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "cluster") return cmd_cluster(args);
-    if (cmd == "eval") return cmd_eval(args);
-    if (cmd == "splice") return cmd_splice(args);
-    if (cmd == "assemble") return cmd_assemble(args);
+    for (const auto& c : commands) {
+      if (cmd != c.name) continue;
+      args.reject_unknown(c.flags, "estclust " + cmd);
+      return c.run(args);
+    }
   } catch (const std::exception& e) {
     std::cerr << "estclust: " << e.what() << "\n";
     return 1;
