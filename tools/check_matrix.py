@@ -65,6 +65,12 @@ REQUIRED_TESTS = (
     "cli_reject_window_above_uint32",
     "cli_reject_ranks_above_int",
     "cli_reject_ranks_above_cap",
+    # A misspelt flag and a FASTA file that repeats a record id are named
+    # errors, not runs with a default or an ambiguous clusters file.
+    "cli_reject_unknown_flag",
+    "cli_reject_duplicate_ids",
+    "Cli.RejectUnknownNamesEveryStrayArgument",
+    "Fasta.RejectsDuplicateIds",
     # A removed backend name is rejected before the input is read.
     "cli_pair_source_fm",
     "headers_standalone",
@@ -96,9 +102,15 @@ REQUIRED_TESTS = (
     # The GST walk's exact record stream, tie order included; the cluster
     # goldens see that order only through union-find skips.
     "gst/PairGenerator.GoldenPairStream",
-    # Leaves keep no lset block, and a forest does not depend on the order
-    # its suffixes arrive in.
-    "gst/PairGenerator.LeafLsetsAreNeverParked",
+    # The walk's heap stays linear in the occurrences at any coverage, and
+    # the stream contract holds where duplicate elimination drops entries
+    # (poly-A tails); a forest does not depend on the order its suffixes
+    # arrive in.
+    "gst/PairGenerator.HeapIsLinearInOccurrencesAtAnyCoverage",
+    "gst/Seeds/PairStreamProperty."
+    "PolyATailedStreamIsSortedDuplicateFreeAndBatchInvariant/40",
+    "kmer/Seeds/PairStreamProperty."
+    "PolyATailedStreamIsSortedDuplicateFreeAndBatchInvariant/40",
     "RefineBuckets.AnyInputOrderGivesTheSequentialForest",
     # The arena's shrink releases the SIMD scratch, not just the band rows.
     "AlignArena.ShrinkReleasesSimdScratch",
