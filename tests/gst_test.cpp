@@ -163,6 +163,27 @@ TEST(BuildBucketTree, PolyARepeatBuildsDeepChain) {
   EXPECT_EQ(t.num_occurrences(0), 12u);
 }
 
+TEST(BuildBucketTree, ValidateRejectsRangesThatDoNotTile) {
+  // Every internal node's occurrence range is its children's ranges laid
+  // end to end; the pair walk reads each node's lsets out of it.
+  Prng rng(5);
+  EstSet ests = random_ests(rng, 4, 30, 50);
+  std::size_t checked = 0;
+  for (const Tree& t : build_forest_sequential(ests, 2)) {
+    t.validate(ests);
+    for (std::uint32_t v = 1; v < t.size(); ++v) {
+      if (t.is_leaf(v)) continue;
+      EXPECT_EQ(t.num_occurrences(v), t.occurrences(v).size());
+      Tree broken = t;
+      --broken.nodes[v].occ_end;
+      EXPECT_THROW(broken.validate(ests), CheckError);
+      ++checked;
+      break;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
 TEST(BuildBucketTree, CanonicalRegardlessOfInputOrder) {
   Prng rng(2);
   EstSet ests = random_ests(rng, 4, 30, 50);
