@@ -39,12 +39,16 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       std::string name = arg.substr(2);
       auto eq = name.find('=');
       if (eq != std::string::npos) {
-        values_[name.substr(0, eq)] = name.substr(eq + 1);
+        const std::string value = name.substr(eq + 1);
+        name.resize(eq);
+        values_[name] = value;
       } else if (i + 1 < argc && looks_like_value(argv[i + 1])) {
         values_[name] = argv[++i];
+        next_word_values_.emplace_back(name, argv[i]);
       } else {
         flags_.push_back(name);
       }
+      ++times_given_[name];
     } else {
       positionals_.push_back(arg);
     }
@@ -81,7 +85,8 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 }
 
 void CliArgs::reject_unknown(std::span<const std::string_view> known,
-                             std::string_view context) const {
+                             std::string_view context,
+                             std::span<const std::string_view> bare) const {
   std::vector<std::string> unknown;
   const auto check = [&](const std::string& name) {
     if (std::find(known.begin(), known.end(), name) == known.end()) {
@@ -100,9 +105,21 @@ void CliArgs::reject_unknown(std::span<const std::string_view> known,
     for (const auto& name : known) msg << " --" << name;
     msg << ")";
   }
-  for (const auto& arg : positionals_) {
+  for (const auto& [name, times] : times_given_) {
+    if (times > 1) {
+      msg << (msg.tellp() > 0 ? "; " : "") << "--" << name << " given "
+          << times << " times";
+    }
+  }
+  const auto unexpected = [&](const std::string& arg) {
     msg << (msg.tellp() > 0 ? "; " : "") << "unexpected argument '" << arg
         << "'";
+  };
+  for (const auto& arg : positionals_) unexpected(arg);
+  for (const auto& [name, word] : next_word_values_) {
+    if (std::find(bare.begin(), bare.end(), name) != bare.end()) {
+      unexpected(word);
+    }
   }
   ESTCLUST_CHECK_MSG(msg.tellp() == 0, context << ": " << msg.str());
 }

@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace estclust {
@@ -32,12 +33,16 @@ class CliArgs {
 
   const std::vector<std::string>& positionals() const { return positionals_; }
 
-  /// Throws CheckError naming every flag outside `known` and every
-  /// positional argument, prefixed with `context` (the command), so a
-  /// misspelt flag fails instead of running with its default. Parsing
-  /// itself accepts anything; a tool calls this to opt in.
+  /// Throws CheckError, prefixed with `context` (the command), naming
+  /// every flag outside `known`, every flag given more than once, every
+  /// positional argument, and every word that the parser took as the value
+  /// of a flag in `bare` (flags that take no value, or only as --flag=V).
+  /// So a misspelt, repeated or stray argument fails instead of running
+  /// with a default or a silently dropped value. Parsing itself accepts
+  /// anything; a tool calls this to opt in.
   void reject_unknown(std::span<const std::string_view> known,
-                      std::string_view context) const;
+                      std::string_view context,
+                      std::span<const std::string_view> bare = {}) const;
   const std::string& program() const { return program_; }
 
   /// Reads an integer environment variable, else returns fallback.
@@ -48,6 +53,9 @@ class CliArgs {
   std::map<std::string, std::string> values_;
   std::vector<std::string> flags_;
   std::vector<std::string> positionals_;
+  std::map<std::string, int> times_given_;
+  /// (flag, word) for each value taken from the word after its flag.
+  std::vector<std::pair<std::string, std::string>> next_word_values_;
 };
 
 }  // namespace estclust

@@ -357,7 +357,29 @@ TEST(Cli, RejectUnknownNamesEveryStrayArgument) {
   EXPECT_THROW(CliArgs(4, stray).reject_unknown(known, "estclust cluster"),
                CheckError);
   const char* good[] = {"prog", "--in", "lib.fa", "--metrics", "--window=6"};
-  EXPECT_NO_THROW(CliArgs(5, good).reject_unknown(known, "estclust cluster"));
+  const std::string_view bare[] = {"metrics"};
+  EXPECT_NO_THROW(
+      CliArgs(5, good).reject_unknown(known, "estclust cluster", bare));
+  const auto rejection = [&](int argc, const char* const* argv) {
+    try {
+      CliArgs(argc, argv).reject_unknown(known, "estclust cluster", bare);
+    } catch (const CheckError& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  // A repeated flag would otherwise run with its last value.
+  const char* repeated[] = {"prog", "--in", "lib.fa", "--window", "6",
+                            "--window=8"};
+  EXPECT_NE(rejection(6, repeated).find("--window given 2 times"),
+            std::string::npos)
+      << rejection(6, repeated);
+  // A word after a value-less flag would otherwise become its ignored
+  // value.
+  const char* swallowed[] = {"prog", "--in", "lib.fa", "--metrics", "stray"};
+  EXPECT_NE(rejection(5, swallowed).find("unexpected argument 'stray'"),
+            std::string::npos)
+      << rejection(5, swallowed);
 }
 
 TEST(Timer, MeasuresNonNegativeTime) {

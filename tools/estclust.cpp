@@ -112,6 +112,9 @@ constexpr std::string_view kSpliceFlags[] = {"in", "psi", "window",
 constexpr std::string_view kAssembleFlags[] = {
     "in", "out", "psi", "window", "batchsize", "min-quality", "min-overlap",
     "band", "pair-source"};
+// The flags of `cluster` that take no value, or only as --profile=FILE: a
+// word after one of them is a stray argument, not its value.
+constexpr std::string_view kClusterBareFlags[] = {"metrics", "profile"};
 
 int cmd_simulate(const CliArgs& args) {
   sim::SimConfig cfg = sim::scaled_config(
@@ -412,15 +415,16 @@ int main(int argc, char** argv) {
     std::string_view name;
     int (*run)(const CliArgs&);
     std::span<const std::string_view> flags;
-  } commands[] = {{"simulate", cmd_simulate, kSimulateFlags},
-                  {"cluster", cmd_cluster, kClusterFlags},
-                  {"eval", cmd_eval, kEvalFlags},
-                  {"splice", cmd_splice, kSpliceFlags},
-                  {"assemble", cmd_assemble, kAssembleFlags}};
+    std::span<const std::string_view> bare;
+  } commands[] = {{"simulate", cmd_simulate, kSimulateFlags, {}},
+                  {"cluster", cmd_cluster, kClusterFlags, kClusterBareFlags},
+                  {"eval", cmd_eval, kEvalFlags, {}},
+                  {"splice", cmd_splice, kSpliceFlags, {}},
+                  {"assemble", cmd_assemble, kAssembleFlags, {}}};
   try {
     for (const auto& c : commands) {
       if (cmd != c.name) continue;
-      args.reject_unknown(c.flags, "estclust " + cmd);
+      args.reject_unknown(c.flags, "estclust " + cmd, c.bare);
       return c.run(args);
     }
   } catch (const std::exception& e) {
