@@ -317,6 +317,7 @@ ExtensionResult extend_overlap_variant(KernelVariant variant,
                                        AlignArena& arena, long give_up) {
   band = clamp_band(band, a.size(), b.size());
   if (variant != KernelVariant::kScalar && cpu_supports(variant) &&
+      band <= detail::kSimdMaxBand &&
       detail::simd_eligible(a, b, sc, give_up)) {
     if (variant == KernelVariant::kAvx2) {
       return detail::band_sweep_avx2(a, b, sc, band, arena, give_up);

@@ -24,11 +24,13 @@
 //    pre-arena implementation.
 //
 //  * A SIMD band sweep (SSE2/AVX2, 16-bit lanes) behind a one-time runtime
-//    dispatch (dispatch.hpp). The vector sweeps are bit-identical to the
-//    scalar one — same scores, end positions, capped flags and DP-cell
-//    counts — so accounting, verdicts and clusters are variant-invariant.
-//    Pairs outside the vector kernels' value-range envelope silently take
-//    the scalar path.
+//    dispatch (dispatch.hpp). It walks the band anti-diagonal by
+//    anti-diagonal in registers (kernel_sweep.hpp) and closes rows in the
+//    scalar sweep's order, so it is bit-identical to the scalar one — same
+//    scores, end positions, capped flags and DP-cell counts — and
+//    accounting, verdicts and clusters are variant-invariant. Pairs outside
+//    the vector kernels' value-range envelope, and bands wider than
+//    kSimdMaxBand, silently take the scalar path.
 #pragma once
 
 #include <algorithm>
@@ -51,18 +53,16 @@ struct AlignArena {
   std::vector<long> prev, cur;  ///< band rows, (2*band + 1) wide
   std::string rev_a, rev_b;     ///< reversed prefixes for leftward extension
 
-  // SIMD scratch: 16-bit band rows (width + kSimdRowPad so full-vector
-  // loads/stores past the live range stay in bounds) and byte-per-base
-  // code buffers unpacked from the 2-bit packing. codes_b carries one
-  // front pad byte so lane loads for j = 0 read memory, not UB; the
-  // corresponding diagonal input is a dead guard cell, so the pad value
-  // never reaches a live cell.
-  std::vector<std::int16_t> prev16, cur16;
+  // SIMD scratch (kernel_sweep.hpp): a's bases reversed and b's bases,
+  // each between kCodePad bytes of padding so the vector loads of lanes
+  // past either string end stay in bounds (those lanes are dead, so the
+  // pad values never reach a live cell); and the boundary cells (i, n) and
+  // (m, j), held from their anti-diagonal until their row closes.
   std::vector<std::uint8_t> codes_a, codes_b;
-  std::vector<std::uint64_t> pack_words;  ///< 2-bit packing scratch
+  std::vector<std::int16_t> col_n, row_m;
 
-  /// Slack past the (2*band + 1) live window for unmasked vector tails.
-  static constexpr std::size_t kSimdRowPad = 32;
+  /// Padding on each side of codes_a / codes_b, in bytes.
+  static constexpr std::size_t kCodePad = 96;
 
   /// Shrink policy: after this many consecutive ensure_width calls that
   /// need at most half the current row capacity, the arena decays to the
@@ -92,28 +92,23 @@ struct AlignArena {
     high_water_ = std::max(high_water_, bytes());
   }
 
-  /// ensure_width plus the SIMD row/code buffers for an (m, n) pair.
+  /// ensure_width plus the SIMD buffers for an (m, n) pair. The width
+  /// request keeps the SIMD scratch on the shrink policy.
   void ensure_simd(std::size_t width, std::size_t m, std::size_t n) {
     ensure_width(width);
-    const std::size_t rows = width + kSimdRowPad;
-    if (prev16.size() < rows) {
-      prev16.resize(rows);
-      cur16.resize(rows);
-    }
-    if (codes_a.size() < m) codes_a.resize(m);
-    if (codes_b.size() < n + 1 + kSimdRowPad) {
-      codes_b.resize(n + 1 + kSimdRowPad);
-    }
+    if (codes_a.size() < m + 2 * kCodePad) codes_a.resize(m + 2 * kCodePad);
+    if (codes_b.size() < n + 2 * kCodePad) codes_b.resize(n + 2 * kCodePad);
+    if (col_n.size() < m + 1) col_n.resize(m + 1);
+    if (row_m.size() < n + 1) row_m.resize(n + 1);
     high_water_ = std::max(high_water_, bytes());
   }
 
   /// Current heap footprint of all scratch buffers.
   std::size_t bytes() const {
     return (prev.capacity() + cur.capacity()) * sizeof(long) +
-           (prev16.capacity() + cur16.capacity()) * sizeof(std::int16_t) +
            codes_a.capacity() + codes_b.capacity() +
-           pack_words.capacity() * sizeof(std::uint64_t) + rev_a.capacity() +
-           rev_b.capacity();
+           (col_n.capacity() + row_m.capacity()) * sizeof(std::int16_t) +
+           rev_a.capacity() + rev_b.capacity();
   }
 
   /// Largest bytes() ever observed; feeds the align.arena_bytes gauge.
@@ -129,11 +124,10 @@ struct AlignArena {
     // the rows.
     std::vector<long>(width).swap(prev);
     std::vector<long>(width).swap(cur);
-    std::vector<std::int16_t>().swap(prev16);
-    std::vector<std::int16_t>().swap(cur16);
     std::vector<std::uint8_t>().swap(codes_a);
     std::vector<std::uint8_t>().swap(codes_b);
-    std::vector<std::uint64_t>().swap(pack_words);
+    std::vector<std::int16_t>().swap(col_n);
+    std::vector<std::int16_t>().swap(row_m);
     streak_ = 0;
     streak_peak_ = 0;
   }

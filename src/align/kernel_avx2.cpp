@@ -1,10 +1,8 @@
-// AVX2 policy for the striped band sweep: 16 int16 lanes. This file is the
+// AVX2 policy for the anti-diagonal band sweep: 16 int16 lanes per vector,
+// so the default band of 8 (9 lanes) fits one register. This file is the
 // only one compiled with -mavx2 (see src/align/CMakeLists.txt), so nothing
 // but the sweep itself may live here — the dispatcher guarantees it is
-// only entered on hosts whose CPU advertises AVX2. The max-plus scan runs
-// per 128-bit half with cheap in-half byte shifts and finishes with one
-// cross-half bridge step (see shift1/bridge below), keeping the 3-cycle
-// cross-half permutes off the common path.
+// only entered on hosts whose CPU advertises AVX2.
 #include "align/kernel_simd.hpp"
 
 #if defined(__AVX2__)
@@ -21,13 +19,14 @@ struct Avx2Ops {
   using vec = __m256i;
   static constexpr int kLanes = 16;
 
-  static vec load(const std::int16_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
   static void store(std::int16_t* p, vec v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
   static vec broadcast(std::int16_t x) { return _mm256_set1_epi16(x); }
+  static vec iota() {
+    return _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
+                             14, 15);
+  }
   static vec add(vec a, vec b) { return _mm256_adds_epi16(a, b); }
   static vec sub(vec a, vec b) { return _mm256_subs_epi16(a, b); }
   static vec max(vec a, vec b) { return _mm256_max_epi16(a, b); }
@@ -35,90 +34,31 @@ struct Avx2Ops {
   static vec mullo(vec a, vec b) { return _mm256_mullo_epi16(a, b); }
   static vec cmpeq(vec a, vec b) { return _mm256_cmpeq_epi16(a, b); }
   static vec cmpgt(vec a, vec b) { return _mm256_cmpgt_epi16(a, b); }
-  static vec blend(vec mask, vec a, vec b) {
-    return _mm256_blendv_epi8(b, a, mask);
+  static vec and_(vec a, vec b) { return _mm256_and_si256(a, b); }
+  static vec andnot(vec a, vec b) { return _mm256_andnot_si256(a, b); }
+  // result[l] = v[l-1], result[0] = prev[15]. The permute supplies each
+  // 128-bit half's incoming lane: prev's high half for the low half, v's
+  // low half for the high half.
+  static vec shift_up(vec v, vec prev) {
+    return _mm256_alignr_epi8(v, _mm256_permute2x128_si256(prev, v, 0x21),
+                              14);
   }
-  static vec widen_codes(const std::uint8_t* p) {
-    return _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  // result[l] = v[l+1], result[15] = next[0].
+  static vec shift_down(vec v, vec next) {
+    return _mm256_alignr_epi8(_mm256_permute2x128_si256(v, next, 0x21), v,
+                              2);
   }
-  // Scan shifts. Step 1 is a genuine 16-lane shift (permute + alignr to
-  // carry lane 7 into lane 8): that makes the sweep's early-exit test —
-  // "the distance-1 step raised nothing" — sound across the half boundary,
-  // so the common converged case pays neither the longer steps nor the
-  // bridge. Steps 2/4 run PER 128-BIT HALF with cheap vpslldq (which does
-  // not cross the boundary — here a feature): the terms they miss, every
-  // low-half source feeding a high-half lane, collapse into the single
-  // bridge() candidate applied afterwards on the cliff path. Fill
-  // constants stamp kNegInf16 into the lanes each shift vacates.
-  static vec fill1() {
-    return _mm256_setr_epi16(kNegInf16, 0, 0, 0, 0, 0, 0, 0, kNegInf16, 0,
-                             0, 0, 0, 0, 0, 0);
+  // All-ones lanes where the 16 codes at a and b agree.
+  static vec match_mask(const std::uint8_t* a, const std::uint8_t* b) {
+    const __m128i eq =
+        _mm_cmpeq_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(a)),
+                       _mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
+    return _mm256_cvtepi8_epi16(eq);
   }
-  static vec fill2() {
-    return _mm256_setr_epi16(kNegInf16, kNegInf16, 0, 0, 0, 0, 0, 0,
-                             kNegInf16, kNegInf16, 0, 0, 0, 0, 0, 0);
-  }
-  static vec fill4() {
-    return _mm256_setr_epi16(kNegInf16, kNegInf16, kNegInf16, kNegInf16, 0,
-                             0, 0, 0, kNegInf16, kNegInf16, kNegInf16,
-                             kNegInf16, 0, 0, 0, 0);
-  }
-  static vec shift1(vec v) {
-    return _mm256_or_si256(_mm256_slli_si256(v, 2), fill1());
-  }
-  static vec shift2(vec v) {
-    return _mm256_or_si256(_mm256_slli_si256(v, 4), fill2());
-  }
-  static vec shift4(vec v) {
-    return _mm256_or_si256(_mm256_slli_si256(v, 8), fill4());
-  }
-  // Cross-half completion after the per-half steps 2/4. Lane l >= 8 still
-  // misses most low-half terms; they all collapse to the single candidate
-  // lo_scan[7] + (l - 7)*gap, because lo_scan[7] already carries every low
-  // lane at its gap distance (step 1's lane-7 -> lane-8 crossing composes
-  // with the in-half steps for the rest, but never reaches distance 8 nor
-  // sources below lane 7 — the bridge covers exactly those). hi_ramp holds
-  // (l - 7)*gap in the high lanes (low lanes are discarded by the
-  // immediate blend).
-  static vec bridge(vec v, vec hi_ramp) {
-    const vec s7 = _mm256_broadcastw_epi16(
-        _mm_srli_si128(_mm256_castsi256_si128(v), 14));
-    const vec fixed =
-        _mm256_max_epi16(v, _mm256_adds_epi16(s7, hi_ramp));
-    return _mm256_blend_epi32(v, fixed, 0xF0);
-  }
-  // Multiplied by gap to build hi_ramp: distance from lane 7 for the high
-  // half, zero (unused) for the low half.
-  static vec bridge_iota() {
-    return _mm256_setr_epi16(0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7,
-                             8);
-  }
-  // result[l] = a[l+1] for l < 15, result[15] = b[0]: the "up" row input,
-  // built in-register so the sweep never issues a load that straddles the
-  // previous row's vector store and its scalar tail/guard stores (such
-  // straddling loads defeat store-to-load forwarding and stall every row).
-  static vec shift_down_concat(vec a, vec b) {
-    const vec t = _mm256_permute2x128_si256(a, b, 0x21);  // [a_hi : b_lo]
-    return _mm256_alignr_epi8(t, a, 2);
-  }
-  static bool all_equal(vec a, vec b) {
-    return _mm256_movemask_epi8(_mm256_cmpeq_epi16(a, b)) == -1;
-  }
-  static std::int16_t last_lane(vec v) {
-    return static_cast<std::int16_t>(_mm256_extract_epi16(v, 15));
-  }
-  static std::int16_t hmax(vec v) {
-    __m128i h = _mm_max_epi16(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    h = _mm_max_epi16(h, _mm_srli_si128(h, 8));
-    h = _mm_max_epi16(h, _mm_srli_si128(h, 4));
-    h = _mm_max_epi16(h, _mm_srli_si128(h, 2));
-    return static_cast<std::int16_t>(_mm_extract_epi16(h, 0));
-  }
-  static vec iota() {
-    return _mm256_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13,
-                             14, 15);
+  static bool lane_below(vec v, vec bound, int lane) {
+    const unsigned bits = static_cast<unsigned>(
+        _mm256_movemask_epi8(_mm256_cmpgt_epi16(bound, v)));
+    return ((bits >> (2 * lane)) & 1u) != 0;
   }
 };
 
@@ -127,10 +67,7 @@ struct Avx2Ops {
 ExtensionResult band_sweep_avx2(std::string_view a, std::string_view b,
                                 const Scoring& sc, std::size_t band,
                                 AlignArena& arena, long give_up) {
-  if (give_up == kNoGiveUp) {
-    return band_sweep_simd<Avx2Ops, false>(a, b, sc, band, arena, give_up);
-  }
-  return band_sweep_simd<Avx2Ops, true>(a, b, sc, band, arena, give_up);
+  return band_sweep_policy<Avx2Ops>(a, b, sc, band, arena, give_up);
 }
 
 bool have_avx2_kernel() { return true; }

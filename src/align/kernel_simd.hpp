@@ -1,16 +1,19 @@
 // Internal interface between the kernel dispatcher and the SIMD sweep
 // translation units (kernel_sse2.cpp / kernel_avx2.cpp).
 //
-// The vector sweeps run the band recurrence in 16-bit lanes, so they are
-// only entered for pairs whose whole value range provably fits:
-// simd_eligible() bounds |score| by maxcoef * (m + n + 2) <= kSimdMaxMass,
-// which keeps every live cell in [-kSimdMaxMass, kSimdMaxMass] and every
-// "minus infinity" cell below kDead16 (dead cells start at kNegInf16 and
-// can drift up by at most match per row, i.e. by at most kSimdMaxMass in
-// total). Live and dead cells therefore never meet, and comparing against
-// kDead16 reproduces the scalar sweep's exact != kNegInf liveness tests.
+// The vector sweeps run the band recurrence anti-diagonal by anti-diagonal
+// in 16-bit lanes, so they are only entered for pairs whose whole value
+// range provably fits: simd_eligible() bounds |score| by
+// maxcoef * (m + n + 2) <= kSimdMaxMass, which keeps every live cell in
+// [-kSimdMaxMass, kSimdMaxMass / 2] and lets the sweep push every dead lane
+// (seeded at kNegInf16, or folded to a saturating -32768 each step) far
+// below kDead16. Live and dead cells therefore never meet, and comparing
+// against kDead16 reproduces the scalar sweep's exact != kNegInf liveness
+// tests. An anti-diagonal holds band + 1 cells; bands wider than
+// kSimdMaxBand take the scalar sweep like pairs outside kSimdMaxMass.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string_view>
@@ -24,7 +27,7 @@ namespace estclust::align::detail {
 /// The scalar sweep's "minus infinity" cell value.
 inline constexpr long kNegInfScore = std::numeric_limits<long>::min() / 4;
 
-/// 16-bit lane sentinel for unreachable cells (row seeds and guards).
+/// 16-bit lane sentinel for unreachable cells (the sweep's initial lanes).
 inline constexpr std::int16_t kNegInf16 = -30000;
 
 /// Live/dead classification threshold: live cells stay strictly above,
@@ -33,6 +36,11 @@ inline constexpr std::int16_t kDead16 = -16384;
 
 /// Bound on maxcoef * (m + n + 2) for a pair to take a 16-bit sweep.
 inline constexpr long kSimdMaxMass = 12000;
+
+/// Widest clamped band the 16-bit sweeps take. The sweeps are instantiated
+/// for up to 48 lanes (3 AVX2 or 6 SSE2 vectors), one per cell of an
+/// anti-diagonal; a wider band takes the scalar sweep.
+inline constexpr std::size_t kSimdMaxBand = 47;
 
 /// True iff the 16-bit sweeps are exact for this input: non-positive
 /// gap/mismatch, non-negative match, value range within kSimdMaxMass,

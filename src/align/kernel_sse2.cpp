@@ -1,6 +1,7 @@
-// SSE2 policy for the striped band sweep: 8 int16 lanes. Everything the
-// sweep needs (saturating add/sub, max/min, mullo, compares) is native
-// epi16 SSE2, which is why the lanes are 16-bit rather than 32.
+// SSE2 policy for the anti-diagonal band sweep: 8 int16 lanes per vector,
+// so the default band of 8 (9 lanes) takes two vectors. Everything the
+// sweep needs (saturating add/sub, max/min, mullo, compares, byte shifts)
+// is native epi16 SSE2, which is why the lanes are 16-bit rather than 32.
 #include "align/kernel_simd.hpp"
 
 #if defined(__SSE2__)
@@ -17,13 +18,11 @@ struct Sse2Ops {
   using vec = __m128i;
   static constexpr int kLanes = 8;
 
-  static vec load(const std::int16_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  }
   static void store(std::int16_t* p, vec v) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }
   static vec broadcast(std::int16_t x) { return _mm_set1_epi16(x); }
+  static vec iota() { return _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7); }
   static vec add(vec a, vec b) { return _mm_adds_epi16(a, b); }
   static vec sub(vec a, vec b) { return _mm_subs_epi16(a, b); }
   static vec max(vec a, vec b) { return _mm_max_epi16(a, b); }
@@ -31,57 +30,28 @@ struct Sse2Ops {
   static vec mullo(vec a, vec b) { return _mm_mullo_epi16(a, b); }
   static vec cmpeq(vec a, vec b) { return _mm_cmpeq_epi16(a, b); }
   static vec cmpgt(vec a, vec b) { return _mm_cmpgt_epi16(a, b); }
-  static vec blend(vec mask, vec a, vec b) {
-    return _mm_or_si128(_mm_and_si128(mask, a), _mm_andnot_si128(mask, b));
+  static vec and_(vec a, vec b) { return _mm_and_si128(a, b); }
+  static vec andnot(vec a, vec b) { return _mm_andnot_si128(a, b); }
+  // result[l] = v[l-1], result[0] = prev[7].
+  static vec shift_up(vec v, vec prev) {
+    return _mm_or_si128(_mm_slli_si128(v, 2), _mm_srli_si128(prev, 14));
   }
-  static vec widen_codes(const std::uint8_t* p) {
-    return _mm_unpacklo_epi8(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)),
-        _mm_setzero_si128());
+  // result[l] = v[l+1], result[7] = next[0].
+  static vec shift_down(vec v, vec next) {
+    return _mm_or_si128(_mm_srli_si128(v, 2), _mm_slli_si128(next, 14));
   }
-  // Lane shifts toward higher indices; vacated low lanes become kNegInf16
-  // (OR with the sentinel bit pattern, which the shifted-in zeros adopt).
-  static vec shift1(vec v) {
-    return _mm_or_si128(_mm_slli_si128(v, 2),
-                        _mm_setr_epi16(kNegInf16, 0, 0, 0, 0, 0, 0, 0));
+  // All-ones lanes where the 8 codes at a and b agree.
+  static vec match_mask(const std::uint8_t* a, const std::uint8_t* b) {
+    const __m128i eq =
+        _mm_cmpeq_epi8(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(a)),
+                       _mm_loadl_epi64(reinterpret_cast<const __m128i*>(b)));
+    return _mm_unpacklo_epi8(eq, eq);
   }
-  static vec shift2(vec v) {
-    return _mm_or_si128(
-        _mm_slli_si128(v, 4),
-        _mm_setr_epi16(kNegInf16, kNegInf16, 0, 0, 0, 0, 0, 0));
+  static bool lane_below(vec v, vec bound, int lane) {
+    const unsigned bits =
+        static_cast<unsigned>(_mm_movemask_epi8(_mm_cmpgt_epi16(bound, v)));
+    return ((bits >> (2 * lane)) & 1u) != 0;
   }
-  static vec shift4(vec v) {
-    return _mm_or_si128(_mm_slli_si128(v, 8),
-                        _mm_setr_epi16(kNegInf16, kNegInf16, kNegInf16,
-                                       kNegInf16, 0, 0, 0, 0));
-  }
-  // 8 lanes fit one 128-bit register, so the per-half scan is already the
-  // whole scan: the cross-half bridge is the identity.
-  static vec bridge(vec v, vec hi_ramp) {
-    (void)hi_ramp;
-    return v;
-  }
-  static vec bridge_iota() { return _mm_setzero_si128(); }
-  // result[l] = a[l+1] for l < 7, result[7] = b[0]: the "up" row input,
-  // built in-register so the sweep never issues a load that straddles the
-  // previous row's vector store and its scalar tail/guard stores (such
-  // straddling loads defeat store-to-load forwarding and stall every row).
-  static vec shift_down_concat(vec a, vec b) {
-    return _mm_or_si128(_mm_srli_si128(a, 2), _mm_slli_si128(b, 14));
-  }
-  static bool all_equal(vec a, vec b) {
-    return _mm_movemask_epi8(_mm_cmpeq_epi16(a, b)) == 0xFFFF;
-  }
-  static std::int16_t last_lane(vec v) {
-    return static_cast<std::int16_t>(_mm_extract_epi16(v, 7));
-  }
-  static std::int16_t hmax(vec v) {
-    v = _mm_max_epi16(v, _mm_srli_si128(v, 8));
-    v = _mm_max_epi16(v, _mm_srli_si128(v, 4));
-    v = _mm_max_epi16(v, _mm_srli_si128(v, 2));
-    return static_cast<std::int16_t>(_mm_extract_epi16(v, 0));
-  }
-  static vec iota() { return _mm_setr_epi16(0, 1, 2, 3, 4, 5, 6, 7); }
 };
 
 }  // namespace
@@ -89,10 +59,7 @@ struct Sse2Ops {
 ExtensionResult band_sweep_sse2(std::string_view a, std::string_view b,
                                 const Scoring& sc, std::size_t band,
                                 AlignArena& arena, long give_up) {
-  if (give_up == kNoGiveUp) {
-    return band_sweep_simd<Sse2Ops, false>(a, b, sc, band, arena, give_up);
-  }
-  return band_sweep_simd<Sse2Ops, true>(a, b, sc, band, arena, give_up);
+  return band_sweep_policy<Sse2Ops>(a, b, sc, band, arena, give_up);
 }
 
 bool have_sse2_kernel() { return true; }

@@ -1,7 +1,6 @@
 #include "bio/sequence.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "bio/alphabet.hpp"
 #include "util/check.hpp"
@@ -24,59 +23,11 @@ bool all_valid_bases(std::string_view s) {
   return true;
 }
 
-namespace {
-
-// Packed byte -> its four 2-bit codes as four output bytes, little-endian.
-// One table lookup replaces a four-deep serial shift chain per byte; this
-// sits on the per-alignment fixed cost of the SIMD kernels, where the
-// shift-chain version was measurable against short reads.
-struct UnpackTable {
-  std::uint32_t quad[256];
-  constexpr UnpackTable() : quad{} {
-    for (unsigned b = 0; b < 256; ++b) {
-      quad[b] = (b & 3u) | ((b >> 2) & 3u) << 8 | ((b >> 4) & 3u) << 16 |
-                ((b >> 6) & 3u) << 24;
-    }
-  }
-};
-constexpr UnpackTable kUnpack;
-
-}  // namespace
-
-void PackedView::unpack_codes(std::uint8_t* dst) const {
-  const std::size_t full_words = size_ / 32;
-  std::size_t i = 0;
-  for (std::size_t w = 0; w < full_words; ++w) {
-    const std::uint64_t word = words_[w];
-    for (int q = 0; q < 8; ++q) {
-      const std::uint32_t four =
-          kUnpack.quad[(word >> (q * 8)) & 0xFF];
-      std::memcpy(dst + i, &four, 4);
-      i += 4;
-    }
-  }
-  if (i < size_) {
-    std::uint64_t word = words_[full_words];
-    word >>= (i % 32) * 2;
-    for (; i < size_; ++i) {
-      dst[i] = static_cast<std::uint8_t>(word & 3);
-      word >>= 2;
-    }
-  }
-}
-
-PackedView pack_2bit(std::string_view bases, std::vector<std::uint64_t>& words) {
-  words.clear();
-  append_2bit(bases, words);
-  return PackedView(words.data(), bases.size());
-}
-
 void append_2bit(std::string_view bases, std::vector<std::uint64_t>& words) {
   const std::size_t first = words.size();
   words.resize(first + (bases.size() + 31) / 32);
-  // Accumulate each word in a register and store it once: the obvious
-  // `words[i / 32] |= ...` form re-reads and re-writes the vector element
-  // per base, which shows up on the SIMD kernels' per-alignment setup.
+  // Accumulate each word in a register and store it once instead of
+  // re-reading and re-writing the vector element per base.
   for (std::size_t w = first; w < words.size(); ++w) {
     const std::size_t base = (w - first) * 32;
     const std::size_t count = std::min<std::size_t>(32, bases.size() - base);

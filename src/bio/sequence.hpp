@@ -22,9 +22,7 @@ std::string reverse_complement(std::string_view s);
 bool all_valid_bases(std::string_view s);
 
 /// Non-owning view over 2-bit-packed bases (32 per word, LSB-first). The
-/// kernel-facing face of the packing: the SIMD alignment sweep consumes
-/// sequences through this view, expanding codes into its lane buffers with
-/// unpack_codes (word-at-a-time, 32 bases per shift chain).
+/// GST refinement compares suffixes through it, 32 bases per word.
 class PackedView {
  public:
   PackedView() = default;
@@ -50,20 +48,10 @@ class PackedView {
     return (words_[k] >> shift) | ((words_[k + 1] << 1) << (63 - shift));
   }
 
-  /// Expands the 2-bit codes into one byte per base (values 0..3).
-  /// `dst` must have room for size() bytes.
-  void unpack_codes(std::uint8_t* dst) const;
-
  private:
   const std::uint64_t* words_ = nullptr;
   std::size_t size_ = 0;
 };
-
-/// Packs ACGT characters into 2-bit words appended onto `words` (cleared
-/// first). The scratch-vector form lets hot-path callers reuse one heap
-/// allocation per arena instead of constructing a PackedSeq per call.
-/// Returns a view over the packed contents (valid until `words` mutates).
-PackedView pack_2bit(std::string_view bases, std::vector<std::uint64_t>& words);
 
 /// Appends the 2-bit words of `bases` to `words`, starting a fresh word.
 void append_2bit(std::string_view bases, std::vector<std::uint64_t>& words);

@@ -670,16 +670,14 @@ TEST(AlignArena, HighWaterGaugeSurvivesShrink) {
 TEST(AlignArena, ShrinkReleasesSimdScratch) {
   AlignArena arena;
   arena.ensure_simd(4096, 500, 500);
-  arena.pack_words.resize(64);
   for (std::size_t i = 0; i < AlignArena::kShrinkAfterUses; ++i) {
     arena.ensure_width(16);
   }
   ASSERT_EQ(arena.row_capacity(), 16u);
-  EXPECT_EQ(arena.prev16.capacity(), 0u);
-  EXPECT_EQ(arena.cur16.capacity(), 0u);
   EXPECT_EQ(arena.codes_a.capacity(), 0u);
   EXPECT_EQ(arena.codes_b.capacity(), 0u);
-  EXPECT_EQ(arena.pack_words.capacity(), 0u);
+  EXPECT_EQ(arena.col_n.capacity(), 0u);
+  EXPECT_EQ(arena.row_m.capacity(), 0u);
 }
 
 TEST(AlignArena, ShrinkDoesNotChangeResults) {

@@ -112,65 +112,14 @@ TEST(PackedSeq, CrossesWordBoundaries) {
   for (std::size_t i = 0; i < s.size(); ++i) EXPECT_EQ(p.at(i), s[i]);
 }
 
-TEST(PackedView, UnpackCodesRoundTripsAwkwardLengths) {
-  // Lengths straddling the 32-base word and the table-driven 4-base quad
-  // boundaries: the unpacked byte codes must equal encode_base at every
-  // position.
-  Prng rng(5);
-  std::vector<std::uint64_t> scratch;
-  for (std::size_t len : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{4}, std::size_t{31}, std::size_t{32},
-                          std::size_t{33}, std::size_t{63}, std::size_t{64},
-                          std::size_t{65}, std::size_t{130}}) {
-    const std::string s = random_dna(rng, len);
-    PackedView v = pack_2bit(s, scratch);
-    ASSERT_EQ(v.size(), len);
-    std::vector<std::uint8_t> codes(len + 1, 0xAA);  // +1 canary
-    v.unpack_codes(codes.data());
-    for (std::size_t i = 0; i < len; ++i) {
-      ASSERT_EQ(static_cast<int>(codes[i]), encode_base(s[i]))
-          << "len " << len << " pos " << i;
-      ASSERT_EQ(codes[i], static_cast<std::uint8_t>(v.code_at(i)))
-          << "len " << len << " pos " << i;
-    }
-    // unpack_codes writes exactly size() bytes.
-    EXPECT_EQ(codes[len], 0xAA) << "len " << len;
-  }
-}
-
-TEST(PackedView, ScratchReuseAcrossShrinkingCalls) {
-  // The scratch-vector form exists so hot-path callers reuse one heap
-  // allocation; a shorter pack after a longer one must not see stale
-  // high words.
-  Prng rng(6);
-  std::vector<std::uint64_t> scratch;
-  const std::string big = random_dna(rng, 200);
-  pack_2bit(big, scratch);
-  const std::string small = random_dna(rng, 33);
-  PackedView v = pack_2bit(small, scratch);
-  std::vector<std::uint8_t> codes(v.size());
-  v.unpack_codes(codes.data());
-  for (std::size_t i = 0; i < small.size(); ++i) {
-    EXPECT_EQ(static_cast<int>(codes[i]), encode_base(small[i])) << i;
-  }
-}
-
-TEST(PackedView, PackRejectsInvalidBases) {
-  std::vector<std::uint64_t> scratch;
-  EXPECT_THROW(pack_2bit("ACNT", scratch), CheckError);
-}
-
 TEST(PackedSeq, ViewAgreesWithPerBaseAccess) {
   Prng rng(7);
   const std::string s = random_dna(rng, 75);
   PackedSeq p(s);
   PackedView v = p.view();
   ASSERT_EQ(v.size(), s.size());
-  std::vector<std::uint8_t> codes(v.size());
-  v.unpack_codes(codes.data());
   for (std::size_t i = 0; i < s.size(); ++i) {
     EXPECT_EQ(v.code_at(i), p.code_at(i)) << i;
-    EXPECT_EQ(static_cast<int>(codes[i]), p.code_at(i)) << i;
   }
 }
 
@@ -183,7 +132,8 @@ TEST(PackedView, WordAtMatchesPerBaseCodes) {
                           std::size_t{33}, std::size_t{63}, std::size_t{64},
                           std::size_t{65}, std::size_t{400}}) {
     const std::string s = random_dna(rng, len);
-    pack_2bit(s, words);
+    words.clear();
+    append_2bit(s, words);
     words.push_back(0);  // the readable word word_at requires
     const PackedView v(words.data(), s.size());
     for (std::size_t i = 0; i < len; ++i) {

@@ -69,6 +69,10 @@ REQUIRED_TESTS = (
     # errors, not runs with a default or an ambiguous clusters file.
     "cli_reject_unknown_flag",
     "cli_reject_duplicate_ids",
+    # A repeated flag and a word after a value-less flag are named errors,
+    # not a run with the last value or a silently dropped word.
+    "cli_reject_repeated_flag",
+    "cli_reject_bare_flag_value",
     "Cli.RejectUnknownNamesEveryStrayArgument",
     "Fasta.RejectsDuplicateIds",
     # A removed backend name is rejected before the input is read.
@@ -130,10 +134,13 @@ REQUIRED_TESTS = (
     "Sequential.BoundedKernelDoesNotChangePartition",
     "Parallel.BoundedKernelDoesNotChangePartition",
     # SIMD kernel gates: the wall-clock speedup floor and the forced-scalar
-    # golden leg must both stay registered, or a dispatch regression could
-    # hide behind whatever kernel the build host happens to pick.
+    # and forced-sse2 golden legs must stay registered, or a dispatch
+    # regression could hide behind whatever kernel the build host happens
+    # to pick. The differential test draws each vector-count edge.
     "bench_wallclock",
     "golden_clusters_scalar_kernel",
+    "golden_clusters_sse2_kernel",
+    "KernelDifferential.SimdVariantsMatchScalarAcrossRegimes",
     # The per-layer benchmark binary drives the pace API from outside; its
     # smoke run keeps the tier-1 build honest about that API.
     "bench_layers_smoke",
